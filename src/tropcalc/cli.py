@@ -8,7 +8,6 @@ deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from fractions import Fraction
@@ -26,15 +25,6 @@ from .polyhedra import Polyhedron
 from .superforms import Superform, j_op
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-
-def thread_cap() -> int:
-    """Upper bound on worker parallelism; evaluation is sequential and
-    deterministic, so any cap is honored trivially."""
-    try:
-        return max(1, int(os.environ.get("TROPCALC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +250,16 @@ def _random_pl(rng, rank):
 
 
 def _random_cycle(rng, rank, codim):
-    a = DeltaForm.full_space(rank)
-    for _ in range(codim):
-        nxt = corner_locus(_random_pl(rng, rank), a, assume_balanced=True)
-        while nxt.is_zero():
-            nxt = corner_locus(_random_pl(rng, rank),
-                               DeltaForm.full_space(rank),
-                               assume_balanced=True)
-        a = nxt
-    return a
+    """Nonzero cycle of codimension codim by iterated corner loci of the full
+    space; a chain that reaches zero starts over from the full space."""
+    while True:
+        a = DeltaForm.full_space(rank)
+        for _ in range(codim):
+            a = corner_locus(_random_pl(rng, rank), a, assume_balanced=True)
+            if a.is_zero():
+                break
+        if not a.is_zero():
+            return a
 
 
 def _suite_stokes(rng, size):
@@ -368,7 +359,6 @@ def _file_suite(suite, objects):
 
 
 def cmd_verify(args) -> int:
-    thread_cap()
     size = SizeSpec(args.size)
     if args.random:
         rng = random.Random(args.seed)

@@ -1,17 +1,26 @@
 """Exact rational linear programming by tableau simplex with Bland's rule.
 
-Solves max c.x subject to A.x <= b and E.x = f with free variables, entirely
-over Fraction.  Free variables are split into differences of nonnegative
-ones; equalities become inequality pairs; a single artificial variable gives
-the phase-1 start.  Bland's rule guarantees termination without tolerances.
-Infeasibility comes with a Farkas certificate: y >= 0 with y.A = 0 and
-y.b < 0 over the combined inequality rows.
+Solves max c.x subject to A.x <= b and E.x = f with free variables.  Free
+variables are split into differences of nonnegative ones; equalities become
+inequality pairs; a single artificial variable gives the phase-1 start.
+Bland's rule guarantees termination without tolerances.  Infeasibility comes
+with a Farkas certificate: y >= 0 with y.A = 0 and y.b < 0 over the combined
+inequality rows.
+
+The simplex runs on Python ints, fraction-free (Bareiss 1968; Avis, lrs).
+Each rational row is scaled by the lcm of its denominators, which only
+rescales that row's slack variable, so the pivots are the ones the rational
+tableau takes.  The tableau holds the rational tableau as ``t / d`` over one
+denominator d > 0 shared with the objective row, and a pivot on entry p is
+the exact integer update ``(x*p - f*y) // d`` followed by ``d = p``.  Inputs
+and results stay Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
@@ -35,62 +44,105 @@ def _check_rank(constraints, rank_: int):
                 f"constraint normal of length {len(a)} in ambient rank {rank_}")
 
 
-class _Tableau:
-    """Dense simplex tableau for max-form LPs with rows A z <= b, z >= 0."""
+def _integral(values: Sequence) -> Tuple[List[int], int]:
+    """Rational values times the lcm s > 0 of their denominators, and s."""
+    if not all(type(x) is int or type(x) is Fraction for x in values):
+        values = vec(values)
+    s = lcm(*(x.denominator for x in values))
+    return [x.numerator * (s // x.denominator) for x in values], s
 
-    def __init__(self, rows: List[List[Fraction]], rhs: List[Fraction], nvars: int):
+
+class _Tableau:
+    """Fraction-free simplex tableau for max-form LPs with rows A z <= b, z >= 0.
+
+    The rational tableau is ``t / d`` and the rational reduced costs are
+    ``obj / d``.  Every basic column reads d in its row and 0 elsewhere, and 0
+    in ``obj``; d is the absolute determinant of the basis, which makes every
+    division in :meth:`pivot` exact.
+    """
+
+    def __init__(self, rows: List[List[int]], rhs: List[int], nvars: int):
         self.m = len(rows)
         self.n = nvars
         # Columns: structural vars, then slacks.  Row i gets slack n + i.
-        self.t = [row[:] + [Fraction(int(i == j)) for j in range(self.m)] + [rhs[i]]
-                  for i, row in enumerate(rows)]
+        slacks = [0] * self.m
+        self.t = [row + slacks + [b] for row, b in zip(rows, rhs)]
+        for i, row in enumerate(self.t):
+            row[self.n + i] = 1
+        self.d = 1
         self.basis = [self.n + i for i in range(self.m)]
-        self.obj = [Fraction(0)] * (self.n + self.m + 1)
+        self.obj = [0] * (self.n + self.m + 1)
 
-    def set_objective(self, coeffs: Sequence[Fraction]):
-        self.obj = [Fraction(c) for c in coeffs] + \
-            [Fraction(0)] * (self.n + self.m + 1 - len(coeffs))
+    def set_objective(self, coeffs: Sequence[int]):
+        """Maximize coeffs.z: obj = d*c - sum over rows of c[basis_i] * t_i."""
+        d = self.d
+        self.obj = [d * c for c in coeffs] + [0] * (self.n + self.m + 1 - len(coeffs))
         for i, bv in enumerate(self.basis):
-            if self.obj[bv] != 0:
-                f = self.obj[bv]
+            f = coeffs[bv] if bv < len(coeffs) else 0
+            if f:
                 self.obj = [x - f * y for x, y in zip(self.obj, self.t[i])]
 
     def pivot(self, row: int, col: int):
-        inv = 1 / self.t[row][col]
-        self.t[row] = [x * inv for x in self.t[row]]
+        pr = self.t[row]
+        p = pr[col]
+        if p < 0:
+            # Rational row pr/p equals (-pr)/(-p); keep the denominator positive.
+            pr = self.t[row] = [-x for x in pr]
+            p = -p
+        d = self.d
         for i in range(self.m):
-            if i != row and self.t[i][col] != 0:
-                f = self.t[i][col]
-                self.t[i] = [x - f * y for x, y in zip(self.t[i], self.t[row])]
-        if self.obj[col] != 0:
-            f = self.obj[col]
-            self.obj = [x - f * y for x, y in zip(self.obj, self.t[row])]
+            if i != row:
+                self.t[i] = self._eliminate(self.t[i], pr, col, p, d)
+        self.obj = self._eliminate(self.obj, pr, col, p, d)
+        self.d = p
         self.basis[row] = col
+
+    @staticmethod
+    def _eliminate(x_row: List[int], pr: List[int], col: int, p: int,
+                   d: int) -> List[int]:
+        f = x_row[col]
+        if f == 0:
+            if p == d:
+                return x_row
+            return [x * p // d for x in x_row]
+        if d == 1:
+            return [x * p - f * y for x, y in zip(x_row, pr)]
+        return [(x * p - f * y) // d for x, y in zip(x_row, pr)]
 
     def optimize(self) -> str:
         ncols = self.n + self.m
+        t = self.t
+        basis = self.basis
         while True:
-            col = next((j for j in range(ncols) if self.obj[j] > 0), None)
+            obj = self.obj
+            col = next((j for j in range(ncols) if obj[j] > 0), None)
             if col is None:
                 return "optimal"
+            # Ratio test on t[i][-1] / t[i][col] by cross-multiplication; the
+            # denominators are positive.
             row = None
-            best = None
+            num = den = 0
             for i in range(self.m):
-                if self.t[i][col] > 0:
-                    ratio = self.t[i][-1] / self.t[i][col]
-                    if best is None or ratio < best or \
-                            (ratio == best and self.basis[i] < self.basis[row]):
-                        best = ratio
-                        row = i
+                a = t[i][col]
+                if a > 0:
+                    b = t[i][-1]
+                    if row is None:
+                        row, num, den = i, b, a
+                        continue
+                    lhs, rhs = b * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                        row, num, den = i, b, a
             if row is None:
                 return "unbounded"
             self.pivot(row, col)
 
-    def solution(self) -> List[Fraction]:
-        x = [Fraction(0)] * (self.n + self.m)
+    def point(self, rank_: int) -> List[int]:
+        """d * x for x = u - w, from the basic values of the split u and w."""
+        z = [0] * (2 * rank_)
         for i, bv in enumerate(self.basis):
-            x[bv] = self.t[i][-1]
-        return x
+            if bv < 2 * rank_:
+                z[bv] = self.t[i][-1]
+        return [z[i] - z[rank_ + i] for i in range(rank_)]
 
 
 def solve_lp(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
@@ -98,37 +150,45 @@ def solve_lp(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
              maximize: bool = True) -> LPResult:
     """Solve max/min objective.x over {ineqs, eqs} with free variables."""
     _check_rank(list(ineqs) + list(eqs), rank_)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    rows: List[List[int]] = []
+    rhs: List[int] = []
+    bounds: List[Fraction] = []  # the rational offsets b
+    scales: List[int] = []  # row i of the tableau is scales[i] * (a, b)
 
-    def add_le(a, b):
-        av = vec(a)
-        # x = u - w with u, w >= 0.
-        rows.append([x for x in av] + [-x for x in av])
-        rhs.append(Fraction(b))
+    def add_le(ints, s, b):
+        normal = ints[:-1]
+        # x = u - w with u, w >= 0, then the artificial column (see below).
+        rows.append(normal + [-x for x in normal] + [-s])
+        rhs.append(ints[-1])
+        bounds.append(b)
+        scales.append(s)
 
-    for a, b in ineqs:
-        add_le(a, b)
-    for a, b in eqs:
-        add_le(a, b)
-        add_le([-x for x in a], -Fraction(b))
+    for constraints, pair in ((ineqs, False), (eqs, True)):
+        for a, b in constraints:
+            if type(b) is not int and type(b) is not Fraction:
+                b = Fraction(b)
+            ints, s = _integral((*a, b))
+            add_le(ints, s, b)
+            if pair:
+                add_le([-x for x in ints], s, -b)
     nstruct = 2 * rank_
     m = len(rows)
 
-    # Phase 1: add artificial column t with coefficient -1 in every row and
+    # Phase 1: the artificial column t has coefficient -1 in every row and we
     # minimize t.  Column index nstruct is t; slacks follow.
-    p1_rows = [row[:] + [Fraction(-1)] for row in rows]
-    tab = _Tableau(p1_rows, rhs, nstruct + 1)
-    tab.set_objective([Fraction(0)] * nstruct + [Fraction(-1)])  # max -t
-    neg = min(range(m), key=lambda i: rhs[i], default=None)
-    if m and rhs[neg] < 0:
+    tab = _Tableau(rows, rhs, nstruct + 1)
+    tab.set_objective([0] * nstruct + [-1])  # max -t
+    neg = min(range(m), key=lambda i: bounds[i], default=None)
+    if m and bounds[neg] < 0:
         tab.pivot(neg, nstruct)
         status = tab.optimize()
         assert status == "optimal"  # -t <= 0 bounds phase 1
-    if m and -tab.obj[-1] != 0:
+    if m and tab.obj[-1] != 0:
         # Infeasible: the phase-1 duals are the negated reduced costs on the
-        # slack columns.
-        y = tuple(-tab.obj[nstruct + 1 + i] for i in range(m))
+        # slack columns.  Row i was scaled by scales[i], which divided its
+        # dual by scales[i].
+        y = tuple(Fraction(-tab.obj[nstruct + 1 + i] * scales[i], tab.d)
+                  for i in range(m))
         return LPResult(status="infeasible", farkas=y)
 
     # Pivot the artificial variable out of the basis if it lingers at zero.
@@ -142,22 +202,23 @@ def solve_lp(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
 
     # Phase 2: freeze t at zero by dropping its column from consideration.
     for row in tab.t:
-        row[nstruct] = Fraction(0)
+        row[nstruct] = 0
     if objective is None:
-        sol = tab.solution()
-        point = tuple(sol[i] - sol[rank_ + i] for i in range(rank_))
-        return LPResult(status="optimal", point=point)
-    objv = vec(objective)
+        return LPResult(status="optimal",
+                        point=tuple(Fraction(x, tab.d) for x in tab.point(rank_)))
+    objv = tuple(objective)
     if len(objv) != rank_:
         raise DimensionMismatch("objective length != ambient rank")
     sign = 1 if maximize else -1
-    tab.set_objective([sign * x for x in objv] + [-sign * x for x in objv])
+    # c = s * objective with s > 0 has the same pivots and optimum.
+    c, s = _integral(objv)
+    tab.set_objective([sign * x for x in c] + [-sign * x for x in c])
     status = tab.optimize()
     if status == "unbounded":
         return LPResult(status="unbounded")
-    sol = tab.solution()
-    point = tuple(sol[i] - sol[rank_ + i] for i in range(rank_))
-    value = sum((c * x for c, x in zip(objv, point)), Fraction(0))
+    x = tab.point(rank_)
+    point = tuple(Fraction(v, tab.d) for v in x)
+    value = Fraction(sum(ci * v for ci, v in zip(c, x)), s * tab.d)
     return LPResult(status="optimal", point=point, value=value)
 
 

@@ -99,6 +99,7 @@ class Polyhedron:
         (self.ambient_rank, self.ineqs, self.eqs, self._pivots, self.dim,
          self._lattice, self.relint_point) = built
         self._key = (self.ambient_rank, self.eqs, self.ineqs)
+        self._facets: Optional[Tuple["Polyhedron", ...]] = None
         self._faces: Optional[Tuple["Polyhedron", ...]] = None
         self._bounded: Optional[bool] = None
 
@@ -111,6 +112,7 @@ class Polyhedron:
         (poly.ambient_rank, poly.ineqs, poly.eqs, poly._pivots, poly.dim,
          poly._lattice, poly.relint_point) = built
         poly._key = (poly.ambient_rank, poly.eqs, poly.ineqs)
+        poly._facets = None
         poly._faces = None
         poly._bounded = None
         return poly
@@ -199,13 +201,16 @@ class Polyhedron:
     # -- faces -------------------------------------------------------------
 
     def facets(self) -> List["Polyhedron"]:
-        out = []
-        for a, b in self.ineqs:
-            f = Polyhedron.try_new(self.ambient_rank, self.ineqs,
-                                   self.eqs + ((a, b),))
-            if f is not None:
-                out.append(f)
-        return out
+        """The facets, built once per instance; each call returns a new list."""
+        if self._facets is None:
+            out = []
+            for a, b in self.ineqs:
+                f = Polyhedron.try_new(self.ambient_rank, self.ineqs,
+                                       self.eqs + ((a, b),))
+                if f is not None:
+                    out.append(f)
+            self._facets = tuple(out)
+        return list(self._facets)
 
     def faces(self) -> Tuple["Polyhedron", ...]:
         """All faces of all dimensions, the polyhedron itself included."""

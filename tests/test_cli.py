@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropcalc import serialization as ser
+from tropcalc import cli, serialization as ser
 from tropcalc.cli import main, parse_expression
 from tropcalc.deltaforms import DeltaForm, PSFunction, equal
 from tropcalc.morphisms import AffineMap
@@ -137,6 +137,26 @@ def test_verify_random_suites(capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert "3/3 passed" in out
+
+
+def test_random_cycle_restarts_after_zero_corner_locus(monkeypatch):
+    # The second function drawn is affine, so its corner locus on the line
+    # drawn first is zero; the chain must start over and still reach
+    # codimension 2.
+    real_random_pl = cli._random_pl
+    draws = []
+
+    def random_pl(rng, rank):
+        draws.append(rank)
+        if len(draws) == 2:
+            return PSFunction.from_minmax(rank, "max", [(1, 1, 0)])
+        return real_random_pl(rng, rank)
+
+    monkeypatch.setattr(cli, "_random_pl", random_pl)
+    cycle = cli._random_cycle(random.Random(3), 2, 2)
+    assert len(draws) >= 4
+    assert not cycle.is_zero()
+    assert cycle.l == 2
 
 
 def test_verify_deterministic(capsys):

@@ -44,6 +44,25 @@ def test_faces_of_square():
     assert sorted(f.dim for f in fs) == [0, 0, 0, 0, 1, 1, 1, 1, 2]
 
 
+def test_facets_built_once(monkeypatch):
+    sq = unit_square()
+    first = sq.facets()
+    builds = []
+    real_try_new = Polyhedron.try_new
+
+    def counting_try_new(*args, **kwargs):
+        builds.append(args)
+        return real_try_new(*args, **kwargs)
+
+    monkeypatch.setattr(Polyhedron, "try_new", staticmethod(counting_try_new))
+    second = sq.facets()
+    assert builds == []
+    assert [f.key() for f in second] == [f.key() for f in first]
+    # Callers get their own list; changing it leaves the cache intact.
+    second.clear()
+    assert len(sq.facets()) == 4
+
+
 def test_faces_of_half_line_and_full_space():
     fs = half_line().faces()
     assert sorted(f.dim for f in fs) == [0, 1]
