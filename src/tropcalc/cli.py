@@ -31,7 +31,11 @@ PASS, FAIL, USAGE = 0, 1, 2
 # expression language: name | fn(arg, ...) with the operations listed below
 
 
-class ExprError(TropcalcError):
+class UsageError(TropcalcError):
+    """Bad command-line input; reported with exit code 2."""
+
+
+class ExprError(UsageError):
     pass
 
 
@@ -199,14 +203,21 @@ class SizeSpec:
             if not part:
                 continue
             key, _, value = part.partition("=")
+            if key not in ("count", "r", "deg"):
+                raise UsageError(f"unknown size key {key!r}")
+            try:
+                number = int(value)
+            except ValueError:
+                raise UsageError(f"size {key} needs an integer, "
+                                 f"got {value!r}") from None
+            if number < (0 if key == "deg" else 1):
+                raise UsageError(f"size {key}={number} is out of range")
             if key == "count":
-                self.count = int(value)
+                self.count = number
             elif key == "r":
-                self.rank = min(int(value), 4)
-            elif key == "deg":
-                self.deg = min(int(value), 4)
+                self.rank = min(number, 4)
             else:
-                raise ValueError(f"unknown size key {key!r}")
+                self.deg = min(number, 4)
 
 
 def _random_polytope(rng, rank):
@@ -268,7 +279,7 @@ def _suite_stokes(rng, size):
         sigma = _random_polytope(rng, rank)
         c = DeltaForm.from_weights(rank, 0, [(sigma, rng.randint(1, 3))])
         eta = _random_superform(rng, rank, rank - 1, rank, size.deg)
-        yield f"stokes[{idx}]", stokes_check(c, eta), {
+        yield f"stokes[{idx}]", _safe(stokes_check, c, eta), {
             "cells": c, "integrand": eta}
 
 
@@ -283,7 +294,7 @@ def _suite_green(rng, size):
         alpha = alpha + j_op(alpha).scale(-1 if p % 2 else 1)
         beta = _random_superform(rng, rank, q, q, size.deg)
         beta = beta + j_op(beta).scale(-1 if q % 2 else 1)
-        yield f"green[{idx}]", green_check(c, alpha, beta), {
+        yield f"green[{idx}]", _safe(green_check, c, alpha, beta), {
             "cells": c, "alpha": alpha, "beta": beta}
 
 
@@ -292,7 +303,7 @@ def _suite_pl(rng, size):
         rank = 1 + idx % size.rank
         phi = _random_pl(rng, rank)
         a = _random_cycle(rng, rank, rng.randint(0, rank - 1))
-        yield f"pl[{idx}]", tropical_pl_check(phi, a), {"form": a}
+        yield f"pl[{idx}]", _safe(tropical_pl_check, phi, a), {"form": a}
 
 
 def _suite_projection(rng, size):
@@ -300,7 +311,7 @@ def _suite_projection(rng, size):
         f = AffineMap.projection(2, 1)
         a = _random_cycle(rng, 2, rng.randint(0, 1))
         b = _random_cycle(rng, 1, rng.randint(0, 1))
-        yield f"projection[{idx}]", projection_formula_check(f, a, b), {
+        yield f"projection[{idx}]", _safe(projection_formula_check, f, a, b), {
             "alpha": a, "beta": b}
 
 
@@ -310,7 +321,8 @@ def _suite_assoc(rng, size):
         rank = 1 + idx % size.rank
         a = _random_cycle(rng, rank, rng.randint(0, 1))
         b = _random_cycle(rng, rank, rng.randint(0, 1))
-        ok = equal(diagonal_wedge(a, b), diagonal_wedge(b, a))
+        ok = _safe(lambda: equal(diagonal_wedge(a, b),
+                                 diagonal_wedge(b, a)))
         yield f"assoc[{idx}]", ok, {"a": a, "b": b}
 
 
@@ -354,7 +366,7 @@ def _file_suite(suite, objects):
                     yield (f"projection[{mname},{n1},{n2}]", ok,
                            {"alpha": a, "beta": b})
     else:
-        raise ExprError(
+        raise UsageError(
             f"suite {suite!r} has no file mode; use --random")
 
 
@@ -375,6 +387,8 @@ def cmd_verify(args) -> int:
         else:
             failures += 1
             _dump_counterexample(label, sides)
+    if total == 0:
+        raise UsageError(f"suite {args.suite!r} found no instances to check")
     print(f"{args.suite}: {total - failures}/{total} passed")
     return PASS if failures == 0 else FAIL
 
@@ -446,7 +460,7 @@ def main(argv=None) -> int:
         parser.error("verify needs a file or --random")
     try:
         return args.fn(args)
-    except (ser.ParseError, ExprError, OSError) as exc:
+    except (ser.ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except TropcalcError as exc:

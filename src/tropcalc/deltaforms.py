@@ -6,8 +6,9 @@ bidegree (p, q).  A constant (0,0)-coefficient is a classical weight, so
 tropical cycles are the special case (0, 0, l).
 
 The boundary derivatives act on balanced forms and raise the codimension:
-at a codimension-(l+1) face tau the weighted normal vectors are decomposed
-in a lattice basis of tau extended to Z^r, and the coefficient combines
+at a codimension-(l+1) face tau the weighted normal vectors (read from
+each cell's Polyhedron.facet_normals) are decomposed in a lattice basis of
+tau extended to Z^r, and the coefficient combines
 contractions against the normals and against the tangent basis.  The global
 signs used here are the unique ones for which the exact current identities
 
@@ -26,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import (AmbientMismatch, NotBalanced, TypeMismatch)
 from .linalg import extend_to_unimodular, identity_mat, invert, mat_vec, rat, vec
 from .polyhedra import (AffineForm, Complex, Polyhedron, arrangement_complex,
-                        decomposition_of_pl, normal_vector)
+                        decomposition_of_pl)
 from .superforms import (Poly, Superform, contract1, contract2, d1, d2,
                          j_op, pullback_form, restrict_to, wedge)
 
@@ -228,15 +229,15 @@ def _codim1_faces(a: DeltaForm):
     """Map each codim-(l+1) face to the incident maximal cells.
 
     Returns an ordered dict key -> (tau, [(sigma, coeff, omega), ...]) where
-    omega is a normal vector for sigma over tau.
+    omega is the lattice normal vector of sigma over tau.
     """
     out: Dict[tuple, Tuple[Polyhedron, List]] = {}
     for sigma, coeff in a.cells:
-        for tau in sigma.facets():
+        for tau, omega in sigma.facet_normals():
             key = tau.key()
             if key not in out:
                 out[key] = (tau, [])
-            out[key][1].append((sigma, coeff, normal_vector(sigma, tau)))
+            out[key][1].append((sigma, coeff, omega))
     return {k: out[k] for k in sorted(out)}
 
 
@@ -289,9 +290,15 @@ def check_balanced(a: DeltaForm, tangent_bases=None):
 
 
 def _boundary(a: DeltaForm, side: int, tangent_bases=None) -> DeltaForm:
-    deg = a.q if side == 2 else a.p
-    new_type = ((a.p, a.q - 1, a.l + 1) if side == 2
-                else (a.p - 1, a.q, a.l + 1))
+    # boundary1 (side 1) lowers q and contracts on the d''-side; boundary2
+    # (side 2) lowers p and contracts on the d'-side.
+    if side == 1:
+        deg, contract, sign = a.q, contract2, _boundary1_sign(a.p, a.q)
+        out_pq = (a.p, a.q - 1)
+    else:
+        deg, contract, sign = a.p, contract1, _boundary2_sign(a.p, a.q)
+        out_pq = (a.p - 1, a.q)
+    new_type = out_pq + (a.l + 1,)
     if a.is_zero():
         clamped = tuple(max(0, x) for x in new_type[:2]) + (new_type[2],)
         return DeltaForm.zero(a.rank, clamped)
@@ -302,16 +309,12 @@ def _boundary(a: DeltaForm, side: int, tangent_bases=None) -> DeltaForm:
         clamped = tuple(max(0, x) for x in new_type[:2]) + (new_type[2],)
         return DeltaForm.zero(a.rank, clamped)
     rank = a.rank
-    contract = contract2 if side == 2 else contract1
-    sign_of = _boundary1_sign if side == 2 else _boundary2_sign
-    sign = sign_of(a.p, a.q)
     out = []
     for key, (tau, incident) in _codim1_faces(a).items():
         tb = tangent_bases.get(key) if tangent_bases else None
         tangent, inv = _frame(tau, rank, tb)
         k = len(tangent)
-        total = Superform.zero(rank, *((a.p, a.q - 1) if side == 2
-                                       else (a.p - 1, a.q)))
+        total = Superform.zero(rank, *out_pq)
         betas = [Superform.zero(rank, a.p, a.q) for _ in range(k)]
         for sigma, coeff, omega in incident:
             total = total + contract(coeff, omega)
@@ -327,33 +330,43 @@ def _boundary(a: DeltaForm, side: int, tangent_bases=None) -> DeltaForm:
 
 def boundary1(a: DeltaForm, tangent_bases=None) -> DeltaForm:
     """The d'-boundary derivative: type (p, q, l) -> (p, q-1, l+1)."""
-    return _boundary(a, 2, tangent_bases)
+    return _boundary(a, 1, tangent_bases)
 
 
 def boundary2(a: DeltaForm, tangent_bases=None) -> DeltaForm:
     """The d''-boundary derivative: type (p, q, l) -> (p-1, q, l+1)."""
-    return _boundary(a, 1, tangent_bases)
+    return _boundary(a, 2, tangent_bases)
 
 
 # -- piecewise smooth functions -------------------------------------------
 
 class PSFunction:
-    """Continuous piecewise polynomial function on a codim-0 complex."""
+    """Continuous piecewise polynomial function on R^r.
 
-    __slots__ = ("rank", "complex", "pieces", "kind", "terms")
+    It is held as its top cells, the full-dimensional regions sorted by key,
+    and pieces, which maps each region's key to its polynomial.  The regions
+    are taken as given, without face closure, and must meet in common faces.
+    """
 
-    def __init__(self, rank: int, complex_: Complex,
+    __slots__ = ("rank", "_cells", "pieces", "kind", "terms")
+
+    def __init__(self, rank: int, cells: Iterable[Polyhedron],
                  pieces: Dict[tuple, Poly], kind: Optional[str] = None,
                  terms=None):
         self.rank = rank
-        self.complex = complex_
+        unique: Dict[tuple, Polyhedron] = {}
+        for cell in cells:
+            if cell.ambient_rank != rank:
+                raise AmbientMismatch("cell rank != function rank")
+            if cell.dim != rank:
+                raise ValueError("piece cells must be of codimension 0")
+            unique.setdefault(cell.key(), cell)
+        self._cells = tuple(unique[key] for key in sorted(unique))
         self.pieces = dict(pieces)
         self.kind = kind
         self.terms = terms
-        for cell in complex_.maximal_cells():
-            if cell.dim != rank:
-                raise ValueError("piece complex must be of codimension 0")
-            if cell.key() not in self.pieces:
+        for key in unique:
+            if key not in self.pieces:
                 raise ValueError("missing piece for a top cell")
 
     @staticmethod
@@ -362,22 +375,21 @@ class PSFunction:
         [c1, ..., cr, c0] meaning c1 x1 + ... + cr xr + c0."""
         forms = [AffineForm(tuple(int(t) for t in row[:rank]), rat(row[rank]))
                  for row in terms]
-        cx, labels = decomposition_of_pl(forms, kind)
+        cells, labels = decomposition_of_pl(forms, kind)
         pieces = {}
-        for cell in cx.maximal_cells():
+        for cell in cells:
             f = forms[labels[cell.key()]]
             pieces[cell.key()] = Poly.affine(rank, f.linear, f.constant)
         canon = tuple(tuple(rat(x) for x in row) for row in terms)
-        return PSFunction(rank, cx, pieces, kind=kind, terms=canon)
+        return PSFunction(rank, cells, pieces, kind=kind, terms=canon)
 
     @staticmethod
     def from_poly(poly: Poly) -> "PSFunction":
-        cx = Complex(poly.rank, [Polyhedron.full_space(poly.rank)])
-        return PSFunction(poly.rank, cx,
-                          {Polyhedron.full_space(poly.rank).key(): poly})
+        full = Polyhedron.full_space(poly.rank)
+        return PSFunction(poly.rank, [full], {full.key(): poly})
 
-    def top_cells(self):
-        return self.complex.maximal_cells()
+    def top_cells(self) -> Tuple[Polyhedron, ...]:
+        return self._cells
 
     def value(self, point: Sequence) -> Fraction:
         point = vec(point)
@@ -402,7 +414,7 @@ class PSFunction:
 
     def scale(self, c) -> "PSFunction":
         c = rat(c)
-        return PSFunction(self.rank, self.complex,
+        return PSFunction(self.rank, self._cells,
                           {k: p.scale(c) for k, p in self.pieces.items()})
 
     def __add__(self, other: "PSFunction") -> "PSFunction":
@@ -417,7 +429,7 @@ class PSFunction:
                     pieces[cut.key()] = (self.pieces[a.key()]
                                          + other.pieces[b.key()])
                     tops.append(cut)
-        return PSFunction(self.rank, Complex(self.rank, tops), pieces)
+        return PSFunction(self.rank, tops, pieces)
 
     def as_deltaform(self) -> DeltaForm:
         cells = [(c, Superform.from_poly(self.pieces[c.key()]))

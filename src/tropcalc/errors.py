@@ -27,6 +27,10 @@ class NotAFacet(TropcalcError):
     """The second polyhedron is not a codimension-one face of the first."""
 
 
+class NotAComplex(TropcalcError):
+    """Cells are not face-closed, or two of them meet outside a common face."""
+
+
 class NotBalanced(TropcalcError):
     """The polyhedral form violates the balancing condition."""
 
@@ -57,3 +61,7 @@ class DegreeMismatch(TropcalcError):
 
 class SlotOutOfRange(TropcalcError):
     """A contraction slot exceeds the form's bidegree."""
+
+
+class InternalError(TropcalcError):
+    """An invariant of the package's own computations failed (a bug)."""

@@ -14,12 +14,11 @@ from math import factorial
 from typing import List, Sequence, Tuple
 
 from .deltaforms import DeltaForm
-from .errors import DegreeMismatch, TypeMismatch, Unbounded
-from .linalg import det, rat, solve_linear, vec
+from .errors import DegreeMismatch, InternalError, TypeMismatch, Unbounded
+from .linalg import det, solve_linear, vec
 from .polyhedra import Polyhedron
 from .superforms import (Poly, Superform, contract1, contract2, d1, d2,
                          is_symmetric, restrict_to, wedge)
-from .polyhedra import normal_vector
 
 
 def _triangulate(sigma: Polyhedron) -> List[Tuple[tuple, ...]]:
@@ -81,7 +80,8 @@ def integrate_cell(sigma: Polyhedron, alpha: Superform) -> Fraction:
     def param(point):
         rhs = tuple(Fraction(x) - Fraction(o) for x, o in zip(point, origin))
         sol = solve_linear(cols, rhs)
-        assert sol is not None
+        if sol is None:
+            raise InternalError("a vertex lies outside the cell's hull")
         return sol
 
     total = Fraction(0)
@@ -113,8 +113,7 @@ def integrate_boundary(sigma: Polyhedron, eta: Superform) -> Fraction:
             f"boundary integrand of bidegree {(eta.p, eta.q)} on a "
             f"{k}-dimensional cell")
     total = Fraction(0)
-    for tau in sigma.facets():
-        omega = normal_vector(sigma, tau)
+    for tau, omega in sigma.facet_normals():
         total += integrate_cell(tau, contract(eta, omega))
     return sign * total
 

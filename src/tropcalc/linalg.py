@@ -72,10 +72,6 @@ def sub_vec(a: Sequence, b: Sequence) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def scale_vec(c, a: Sequence) -> Vec:
-    return tuple(c * x for x in a)
-
-
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
     return tuple(dot(row, v) for row in m)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalError
 from .linalg import Vec, vec
 
 Constraint = Tuple[Sequence, object]  # (normal vector, offset): a.x <= b or a.x = b
@@ -181,8 +181,8 @@ def solve_lp(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
     neg = min(range(m), key=lambda i: bounds[i], default=None)
     if m and bounds[neg] < 0:
         tab.pivot(neg, nstruct)
-        status = tab.optimize()
-        assert status == "optimal"  # -t <= 0 bounds phase 1
+        if tab.optimize() != "optimal":
+            raise InternalError("phase 1 is unbounded despite -t <= 0")
     if m and tab.obj[-1] != 0:
         # Infeasible: the phase-1 duals are the negated reduced costs on the
         # slack columns.  Row i was scaled by scales[i], which divided its

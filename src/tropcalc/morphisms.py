@@ -4,19 +4,21 @@ Push-forward carries each cell to its image with the lattice index of the
 image of its tangent lattice as a multiplicity, and transports the
 coefficient through a rational one-sided inverse of the restricted map.
 Pull-back is realized geometrically: intersect with the graph cycle on the
-product space and project back to the source.
+product space and project back to the source.  The graph cycle is built
+directly as the graph polyhedron with weight 1; the tests check it against
+the iterated corner locus of max{f_i(x'), x_i}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
-from .deltaforms import (DeltaForm, PSFunction, check_balanced, corner_locus,
-                         equal, regularize)
-from .errors import (AmbientMismatch, CellNotInjective, NotBalanced)
+from .deltaforms import DeltaForm, check_balanced, equal, regularize
+from .errors import (AmbientMismatch, CellNotInjective, InternalError,
+                     NotBalanced)
 from .linalg import (Lattice, identity_mat, invert, lattice_index, mat_mul,
-                     mat_vec, rank as mat_rank, rat, vec)
+                     mat_vec, rank as mat_rank, vec)
 from .polyhedra import Polyhedron, eliminate_coordinates
 from .superforms import Superform, pullback_form
 
@@ -76,7 +78,8 @@ def image_polyhedron(f: AffineMap, sigma: Polyhedron) -> Polyhedron:
         normal = tuple(f.matrix[i]) + tuple(-int(i == j) for j in range(rt))
         eqs.append((normal, -f.translate[i]))
     pi, pe, kept = eliminate_coordinates(ineqs, eqs, n, list(range(rs)))
-    assert kept == list(range(rs, n))
+    if kept != list(range(rs, n)):
+        raise InternalError("elimination kept the wrong coordinates")
     return Polyhedron(rt, pi, pe)
 
 
@@ -161,22 +164,11 @@ def graph_polyhedron(f: AffineMap) -> Polyhedron:
 def graph_cycle(f: AffineMap) -> DeltaForm:
     """The graph as a weight-1 cycle on source x target.
 
-    Computed as the iterated corner locus of max{f_i(x'), x_i} and checked
-    against the direct description.
+    It equals the iterated corner locus of max{f_i(x'), x_i}, i = 1..t.
     """
-    rs, rt = f.source_rank, f.target_rank
-    n = rs + rt
-    form = DeltaForm.full_space(n)
-    for i in range(rt):
-        row_f = tuple(f.matrix[i]) + tuple(0 for _ in range(rt)) \
-            + (f.translate[i],)
-        row_x = tuple(0 for _ in range(rs)) \
-            + tuple(int(i == j) for j in range(rt)) + (Fraction(0),)
-        phi = PSFunction.from_minmax(n, "max", [row_f, row_x])
-        form = corner_locus(phi, form, assume_balanced=True)
-    direct = DeltaForm.from_weights(n, rt, [(graph_polyhedron(f), 1)])
-    assert equal(form, direct)
-    return form
+    rt = f.target_rank
+    return DeltaForm.from_weights(f.source_rank + rt, rt,
+                                  [(graph_polyhedron(f), 1)])
 
 
 def pullback(f: AffineMap, a: DeltaForm) -> DeltaForm:

@@ -6,6 +6,11 @@ vectors, inequalities reduced modulo the hull equations, scaled primitive,
 deduplicated and made irredundant by exact LP.  Two polyhedra are equal iff
 their canonical representations coincide, which makes semantic equality a
 tuple comparison and lets complexes deduplicate cells by hashing.
+
+Facets are built once per polyhedron, one per canonical inequality, and
+carry their lattice normal vectors (Polyhedron.facet_normals, built on first
+use): the boundary derivatives, corner loci and boundary integrals read the
+normals from there instead of re-deriving them.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import AmbientMismatch, DimensionMismatch, NotAFacet
+from .errors import (AmbientMismatch, DimensionMismatch, InternalError,
+                     NotAComplex, NotAFacet)
 from .linalg import (
-    Lattice, dot, int_kernel, rat, sub_vec, vec,
+    Lattice, dot, extend_to_unimodular, int_kernel, lattice_coordinates, rat,
+    vec,
 )
 from .lp import lp_feasible, lp_maximize, solve_lp
 
@@ -96,12 +103,7 @@ class Polyhedron:
         built = _build(ambient_rank, ineqs, eqs)
         if built is None:
             raise ValueError("polyhedron is empty")
-        (self.ambient_rank, self.ineqs, self.eqs, self._pivots, self.dim,
-         self._lattice, self.relint_point) = built
-        self._key = (self.ambient_rank, self.eqs, self.ineqs)
-        self._facets: Optional[Tuple["Polyhedron", ...]] = None
-        self._faces: Optional[Tuple["Polyhedron", ...]] = None
-        self._bounded: Optional[bool] = None
+        self._set(built)
 
     @staticmethod
     def try_new(ambient_rank: int, ineqs: Iterable = (), eqs: Iterable = ()):
@@ -109,13 +111,17 @@ class Polyhedron:
         if built is None:
             return None
         poly = Polyhedron.__new__(Polyhedron)
-        (poly.ambient_rank, poly.ineqs, poly.eqs, poly._pivots, poly.dim,
-         poly._lattice, poly.relint_point) = built
-        poly._key = (poly.ambient_rank, poly.eqs, poly.ineqs)
-        poly._facets = None
-        poly._faces = None
-        poly._bounded = None
+        poly._set(built)
         return poly
+
+    def _set(self, built):
+        (self.ambient_rank, self.ineqs, self.eqs, self._pivots, self.dim,
+         self._lattice, self.relint_point) = built
+        self._key = (self.ambient_rank, self.eqs, self.ineqs)
+        self._facets: Optional[Tuple["Polyhedron", ...]] = None
+        self._facet_normals: Optional[Tuple[tuple, ...]] = None
+        self._faces: Optional[Tuple["Polyhedron", ...]] = None
+        self._bounded: Optional[bool] = None
 
     @staticmethod
     def full_space(ambient_rank: int) -> "Polyhedron":
@@ -201,16 +207,46 @@ class Polyhedron:
     # -- faces -------------------------------------------------------------
 
     def facets(self) -> List["Polyhedron"]:
-        """The facets, built once per instance; each call returns a new list."""
+        """The facets, built once per instance; each call returns a new list.
+
+        The i-th facet is cut out by the i-th canonical inequality: the
+        inequalities are irredundant, so every one of them defines a facet.
+        """
         if self._facets is None:
             out = []
             for a, b in self.ineqs:
                 f = Polyhedron.try_new(self.ambient_rank, self.ineqs,
                                        self.eqs + ((a, b),))
-                if f is not None:
-                    out.append(f)
+                if f is None:
+                    raise NotAFacet("a canonical inequality cuts out no facet")
+                out.append(f)
             self._facets = tuple(out)
         return list(self._facets)
+
+    def facet_normals(self) -> List[Tuple["Polyhedron", IntNormal]]:
+        """Each facet tau paired with its lattice normal vector omega.
+
+        omega lies in N_sigma, its class generates N_sigma / N_tau, and it
+        points from tau into sigma: a . omega < 0 for the inequality a . x <= b
+        that defines tau.  Built once per instance; each call returns a new
+        list.
+        """
+        if self._facet_normals is None:
+            b_sigma = self._lattice.basis
+            out = []
+            for (a, _), tau in zip(self.ineqs, self.facets()):
+                coords = [lattice_coordinates(b_sigma, v, self.ambient_rank)
+                          for v in tau.lattice.basis]
+                full = extend_to_unimodular(coords, len(b_sigma))
+                comp = [row[-1] for row in full]  # completes tau's basis
+                omega = tuple(
+                    sum(comp[i] * b_sigma[i][j] for i in range(len(b_sigma)))
+                    for j in range(self.ambient_rank))
+                if dot(a, omega) > 0:
+                    omega = tuple(-x for x in omega)
+                out.append((tau, omega))
+            self._facet_normals = tuple(out)
+        return list(self._facet_normals)
 
     def faces(self) -> Tuple["Polyhedron", ...]:
         """All faces of all dimensions, the polyhedron itself included."""
@@ -314,89 +350,28 @@ def _relint_point(ineqs: Sequence[Ineq], eqs: Sequence[Ineq], rank_: int):
     ext_eqs = [(tuple(a) + (0,), b) for a, b in eqs]
     obj = tuple(0 for _ in range(rank_)) + (1,)
     res = solve_lp(ext_ineqs, ext_eqs, obj, rank_ + 1)
-    assert res.status == "optimal" and res.value > 0
+    if res.status != "optimal" or res.value <= 0:
+        raise InternalError("a nonempty polyhedron without implicit "
+                            "equalities has no strictly interior point")
     return res.point[:rank_]
 
 
 def normal_vector(sigma: Polyhedron, tau: Polyhedron) -> IntNormal:
-    """The lattice normal vector of the facet tau in sigma.
-
-    An integer vector in N_sigma whose class generates N_sigma / N_tau and
-    which points from tau into sigma.
-    """
+    """The lattice normal vector of the facet tau in sigma (see
+    Polyhedron.facet_normals); NotAFacet unless tau is a facet of sigma."""
     if sigma.ambient_rank != tau.ambient_rank:
         raise AmbientMismatch("ambient ranks differ")
-    if tau.dim != sigma.dim - 1 or not sigma.includes(tau):
-        raise NotAFacet("tau is not a facet of sigma")
-    hull_cut = Polyhedron.try_new(sigma.ambient_rank, sigma.ineqs,
-                                  sigma.eqs + tau.eqs)
-    if hull_cut is None or hull_cut != tau:
-        raise NotAFacet("tau is not a facet of sigma")
-    b_sigma = sigma.lattice.basis
-    coords = []
-    for v in tau.lattice.basis:
-        from .linalg import lattice_coordinates
-        c = lattice_coordinates(b_sigma, v, sigma.ambient_rank)
-        assert c is not None and all(x.denominator == 1 for x in c)
-        coords.append(tuple(int(x) for x in c))
-    from .linalg import extend_to_unimodular, transpose
-    full = extend_to_unimodular(coords, len(b_sigma))
-    comp = tuple(row[-1] for row in full)  # last column completes the basis
-    omega = tuple(
-        sum(comp[i] * b_sigma[i][j] for i in range(len(b_sigma)))
-        for j in range(sigma.ambient_rank))
-    # Fix the sign from the facet-defining inequalities of sigma tight on tau.
-    t = tau.relint_point
-    sign = 0
-    for a, b in sigma.ineqs:
-        if dot(a, t) == b:
-            s = dot(a, omega)
-            if s != 0:
-                cur = -1 if s > 0 else 1
-                assert sign in (0, cur), "inconsistent facet orientation"
-                sign = cur
-    if sign == 0:
-        # tau is cut by equations of tau itself relative to sigma's hull;
-        # orient toward sigma's relative interior directly.
-        diff = sub_vec(sigma.relint_point, t)
-        s = _side_of(diff, omega, sigma, tau)
-        sign = s
-    if sign < 0:
-        omega = tuple(-x for x in omega)
-    _check_points_inward(sigma, tau, omega)
-    return omega
-
-
-def _side_of(diff, omega, sigma, tau):
-    # Compare omega with the direction from tau into sigma using any
-    # inequality of tau's hull not valid on sigma.
-    for a, b in tau.eqs:
-        if dot(a, sigma.relint_point) != b:
-            s_omega = dot(a, omega)
-            s_diff = dot(a, diff)
-            if s_omega != 0 and s_diff != 0:
-                return 1 if (s_omega > 0) == (s_diff > 0) else -1
-    raise NotAFacet("could not orient the normal vector")
-
-
-def _check_points_inward(sigma, tau, omega):
-    t = tau.relint_point
-    eps = Fraction(1)
-    for a, b in sigma.ineqs:
-        slack = b - dot(a, t)
-        drift = dot(a, omega)
-        if drift > 0:
-            assert slack > 0, "normal vector points outside"
-            eps = min(eps, slack / drift / 2)
-    probe = tuple(x + eps * w for x, w in zip(t, omega))
-    assert sigma.contains(probe)
+    for facet, omega in sigma.facet_normals():
+        if facet.key() == tau.key():
+            return omega
+    raise NotAFacet("tau is not a facet of sigma")
 
 
 class Complex:
     """A face-closed polyhedral complex."""
 
     def __init__(self, ambient_rank: int, cells: Iterable[Polyhedron],
-                 close: bool = True, check: bool = False):
+                 close: bool = True):
         self.ambient_rank = ambient_rank
         seen: Dict[tuple, Polyhedron] = {}
         stack = list(cells)
@@ -415,8 +390,6 @@ class Complex:
         self.cells: Tuple[Polyhedron, ...] = tuple(
             sorted(seen.values(), key=lambda p: (p.dim, p.key())))
         self._maximal: Optional[Tuple[Polyhedron, ...]] = None
-        if check:
-            self.validate()
 
     def __repr__(self):
         return f"Complex({len(self.cells)} cells in R^{self.ambient_rank})"
@@ -430,10 +403,6 @@ class Complex:
             self._maximal = tuple(out)
         return self._maximal
 
-    def is_pure(self) -> bool:
-        dims = {c.dim for c in self.maximal_cells()}
-        return len(dims) <= 1
-
     def top_dim(self) -> int:
         return max((c.dim for c in self.cells), default=-1)
 
@@ -441,17 +410,19 @@ class Complex:
         return [c for c in self.cells if c.dim == d]
 
     def validate(self):
+        """Raise NotAComplex unless the cells are face-closed and any two
+        meet in a common face."""
         keys = {c.key() for c in self.cells}
         for c in self.cells:
             for f in c.faces():
-                assert f.key() in keys, "complex is not face-closed"
+                if f.key() not in keys:
+                    raise NotAComplex("complex is not face-closed")
         cells = self.cells
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
                 inter = cells[i].intersect(cells[j])
-                if inter is not None:
-                    assert inter.key() in keys, \
-                        "cells meet outside a common face"
+                if inter is not None and inter.key() not in keys:
+                    raise NotAComplex("cells meet outside a common face")
 
     def refine_cell_by(self, cell: Polyhedron, hyperplanes) -> List[Polyhedron]:
         pieces = [cell]
@@ -518,19 +489,6 @@ def common_refinement(c1: Complex, c2: Complex) -> Complex:
     return Complex(c1.ambient_rank, out)
 
 
-def refine_within(complex_: Complex, other_cells: Sequence[Polyhedron]) -> Complex:
-    """Refine a complex by the constraint hyperplanes of other cells,
-    keeping its own support."""
-    planes = hyperplanes_of(other_cells)
-    pieces: List[Polyhedron] = []
-    for c in complex_.maximal_cells():
-        relevant = [h for h in planes
-                    if c.intersect(Polyhedron(complex_.ambient_rank, (), (h,)))
-                    is not None]
-        pieces.extend(complex_.refine_cell_by(c, relevant))
-    return Complex(complex_.ambient_rank, pieces)
-
-
 class AffineForm:
     """Integral affine form a.x + c with integer a and rational c."""
 
@@ -545,8 +503,8 @@ class AffineForm:
 def decomposition_of_pl(forms: Sequence[AffineForm], kind: str):
     """Regions of R^r where one affine form attains the max (resp. min).
 
-    Returns (complex, labels) with labels mapping each maximal cell to the
-    index of the attaining form.
+    Returns (cells, labels): the full-dimensional regions sorted by key,
+    and labels mapping each region's key to the index of the attaining form.
     """
     if not forms:
         raise ValueError("need at least one affine form")
@@ -570,10 +528,9 @@ def decomposition_of_pl(forms: Sequence[AffineForm], kind: str):
     seen = {}
     for cell, i in regions:
         seen.setdefault(cell.key(), (cell, i))
-    cells = [cell for cell, _ in seen.values()]
-    cx = Complex(r, cells)
-    labels = {cell.key(): i for cell, i in seen.values()}
-    return cx, labels
+    cells = [seen[key][0] for key in sorted(seen)]
+    labels = {key: i for key, (_, i) in seen.items()}
+    return cells, labels
 
 
 def eliminate_coordinates(ineqs: Sequence[Ineq], eqs: Sequence[Ineq],

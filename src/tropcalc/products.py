@@ -10,10 +10,9 @@ an independent cross-check on its domain of validity.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
-from .deltaforms import (DeltaForm, PSFunction, add, check_balanced,
+from .deltaforms import (DeltaForm, PSFunction, check_balanced,
                          corner_locus, equal, regularize)
 from .errors import (AmbientMismatch, NonGenericVector, NotBalanced,
                      NotTransversal)

@@ -15,7 +15,7 @@ from .deltaforms import DeltaForm, PSFunction
 from .errors import TropcalcError
 from .linalg import rat, rat_str
 from .morphisms import AffineMap
-from .polyhedra import Complex, Polyhedron
+from .polyhedra import Polyhedron
 from .superforms import Poly, Superform
 
 FORMAT_VERSION = "1"
@@ -157,7 +157,7 @@ def psfunction_to_json(phi: PSFunction) -> dict:
         return {"rank": phi.rank, "kind": phi.kind,
                 "terms": [[int(x) for x in row[:-1]] + [rat_str(row[-1])]
                           for row in phi.terms]}
-    cells = sorted(phi.top_cells(), key=lambda c: c.key())
+    cells = phi.top_cells()
     return {"rank": phi.rank,
             "complex": [polyhedron_to_json(c) for c in cells],
             "pieces": [_poly_to_json(phi.pieces[c.key()]) for c in cells]}
@@ -179,8 +179,12 @@ def psfunction_from_json(doc: dict) -> PSFunction:
     polys = [_poly_from_json(t, rank) for t in doc["pieces"]]
     if len(cells) != len(polys):
         raise ParseError("complex and pieces have different lengths")
+    for c in cells:
+        if c.dim != rank:
+            raise ParseError(f"piece cell of dimension {c.dim} in R^{rank}; "
+                             "the cells must be full-dimensional")
     pieces = {c.key(): p for c, p in zip(cells, polys)}
-    return PSFunction(rank, Complex(rank, cells), pieces)
+    return PSFunction(rank, cells, pieces)
 
 
 def affinemap_to_json(f: AffineMap) -> dict:

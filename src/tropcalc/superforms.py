@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import AmbientMismatch, SlotOutOfRange
 from .linalg import rat, vec
@@ -231,9 +231,7 @@ class Superform:
 
     def __eq__(self, other):
         return (isinstance(other, Superform) and self.rank == other.rank
-                and self.terms == other.terms
-                and (self.terms or (self.p, self.q) == (other.p, other.q)
-                     or True))
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.rank, tuple(sorted(self.terms.items(),

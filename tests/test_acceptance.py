@@ -331,7 +331,9 @@ def test_acceptance_5_morphisms(capsys):
     for _ in range(20):
         rs, rt = rng.randint(1, 2), rng.randint(1, 2)
         f = _random_map(rng, rs, rt)
-        gr = graph_cycle(f)  # asserts equality with the direct graph
+        # test_morphisms.py checks graph_cycle against the iterated corner
+        # locus of max{f_i(x'), x_i}
+        gr = graph_cycle(f)
         assert equal(gr, DeltaForm.from_weights(
             rs + rt, rt, [(graph_polyhedron(f), 1)]))
     # pull-back functoriality on 20 composable pairs

@@ -7,6 +7,7 @@ import pytest
 from tropcalc import cli, serialization as ser
 from tropcalc.cli import main, parse_expression
 from tropcalc.deltaforms import DeltaForm, PSFunction, equal
+from tropcalc.errors import NotBalanced
 from tropcalc.morphisms import AffineMap
 from tropcalc.polyhedra import Polyhedron
 from tropcalc.superforms import Poly, Superform
@@ -181,6 +182,60 @@ def test_verify_file_mode_and_failure(tmp_path, capsys):
                                               "phi": objects["phi"]})
     assert main(["verify", file2, "--suite", "pl"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", ["count=x", "foo=1", "count=0", "r=0",
+                                  "deg=-1"])
+def test_verify_bad_size_is_a_usage_error(size, capsys):
+    code = main(["verify", "--random", "--suite", "stokes", "--size", size])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_file_mode_without_instances(tmp_path, capsys):
+    # No PS function in the file: the pl suite has nothing to check.
+    file = write_doc(tmp_path / "doc.json", {"line": standard_line()})
+    assert main(["verify", file, "--suite", "pl"]) == 2
+    captured = capsys.readouterr()
+    assert "passed" not in captured.out
+    assert captured.err.startswith("error:")
+
+
+def test_verify_random_instance_that_raises_is_one_failure(monkeypatch,
+                                                           capsys):
+    real_check = cli.tropical_pl_check
+    calls = []
+
+    def flaky_check(phi, a):
+        calls.append(phi)
+        if len(calls) == 2:
+            raise NotBalanced("injected")
+        return real_check(phi, a)
+
+    monkeypatch.setattr(cli, "tropical_pl_check", flaky_check)
+    code = main(["verify", "--random", "--suite", "pl", "--seed", "5",
+                 "--size", "count=3,r=2,deg=2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL pl[1]" in out
+    assert "pass pl[2]" in out
+    assert "pl: 2/3 passed" in out
+
+
+def test_psfunction_with_a_lower_dimensional_cell_is_a_parse_error(
+        tmp_path, capsys):
+    half = ser.polyhedron_to_json(Polyhedron(1, [((1,), 0)]))
+    point = ser.polyhedron_to_json(Polyhedron.point((0,)))
+    for cells in ([half, point], [point]):
+        doc = {"object": "psfunction", "rank": 1, "complex": cells,
+               "pieces": [[{"exp": [1], "coef": "1"}]] * len(cells)}
+        with pytest.raises(ser.ParseError):
+            ser.psfunction_from_json(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"version": "1", "objects": {"phi": doc}}))
+        assert main(["check-balance", str(path), "phi"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_unknown_suite():

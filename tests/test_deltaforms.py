@@ -9,7 +9,8 @@ from tropcalc.deltaforms import (DeltaForm, PSFunction, add, boundary1,
                                  tropical_pl_check)
 from tropcalc.errors import NotBalanced, TypeMismatch
 from tropcalc.linalg import identity_mat
-from tropcalc.polyhedra import Polyhedron
+from tropcalc import serialization as ser
+from tropcalc.polyhedra import Complex, Polyhedron
 from tropcalc.superforms import Poly, Superform
 
 from util import (random_balanced, random_pl, random_ps, random_superform,
@@ -254,6 +255,33 @@ def test_psfunction_continuity_and_value():
     combo = phi + PSFunction.from_poly(Poly(2, {(2, 0): Fraction(1)}))
     assert combo.validate()
     assert combo.value((2, 1)) == 6
+
+
+def test_psfunction_top_cells_are_the_maximal_cells():
+    # The stored top cells, in order, are the maximal cells of the complex
+    # their face closure would give.
+    def same_as_closure(phi):
+        closed = Complex(phi.rank, phi.top_cells()).maximal_cells()
+        return [c.key() for c in phi.top_cells()] == [c.key() for c in closed]
+
+    rng = random.Random(23)
+    for _ in range(6):
+        rank = rng.randint(1, 3)
+        phi = random_pl(rng, rank, nterms=rng.randint(1, 4))
+        psi = random_pl(rng, rank)
+        assert same_as_closure(phi)
+        assert same_as_closure(phi + psi)
+        assert same_as_closure(phi.scale(3))
+        # A piece complex read from JSON, in shuffled order.
+        doc = ser.psfunction_to_json(phi + psi)
+        order = list(range(len(doc["complex"])))
+        rng.shuffle(order)
+        doc["complex"] = [doc["complex"][i] for i in order]
+        doc["pieces"] = [doc["pieces"][i] for i in order]
+        back = ser.psfunction_from_json(doc)
+        assert same_as_closure(back)
+        assert [c.key() for c in back.top_cells()] == \
+            [c.key() for c in (phi + psi).top_cells()]
 
 
 def test_translate():

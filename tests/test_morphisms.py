@@ -6,9 +6,9 @@ import pytest
 from tropcalc.deltaforms import DeltaForm, PSFunction, corner_locus, equal
 from tropcalc.errors import CellNotInjective, NotBalanced
 from tropcalc.integration import degree, integrate_cell
-from tropcalc.morphisms import (AffineMap, graph_cycle, image_polyhedron,
-                                projection_formula_check, pullback,
-                                pushforward_cells, pushforward_hat)
+from tropcalc.morphisms import (AffineMap, graph_cycle, graph_polyhedron,
+                                image_polyhedron, projection_formula_check,
+                                pullback, pushforward_cells, pushforward_hat)
 from tropcalc.polyhedra import Polyhedron
 from tropcalc.superforms import Poly, Superform
 
@@ -89,6 +89,33 @@ def test_graph_cycle():
     cells = [c for c, _ in gr.cells]
     assert all(c.contains((t, 2 * t, 3 - t)) for c in cells
                for t in (Fraction(0), Fraction(5)))
+
+
+def reference_graph_cycle(f):
+    """The graph of f as the iterated corner locus of max{f_i(x'), x_i}."""
+    rs, rt = f.source_rank, f.target_rank
+    n = rs + rt
+    form = DeltaForm.full_space(n)
+    for i in range(rt):
+        row_f = tuple(f.matrix[i]) + (0,) * rt + (f.translate[i],)
+        row_x = (0,) * rs + tuple(int(i == j) for j in range(rt)) + (0,)
+        phi = PSFunction.from_minmax(n, "max", [row_f, row_x])
+        form = corner_locus(phi, form, assume_balanced=True)
+    return form
+
+
+def test_graph_cycle_is_iterated_corner_locus():
+    rng = random.Random(1117)
+    for _ in range(20):
+        rs, rt = rng.randint(1, 2), rng.randint(1, 2)
+        matrix = [[rng.randint(-2, 2) for _ in range(rs)] for _ in range(rt)]
+        translate = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                     for _ in range(rt)]
+        f = AffineMap(rs, rt, matrix, translate)
+        graph = graph_cycle(f)
+        assert graph.ptype == (0, 0, rt)
+        assert [c for c, _ in graph.cells] == [graph_polyhedron(f)]
+        assert equal(reference_graph_cycle(f), graph)
 
 
 def test_pullback_identity_and_projection():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropcalc.errors import AmbientMismatch, NotAFacet
-from tropcalc.linalg import Lattice, lattice_index, dot
+from tropcalc.errors import AmbientMismatch, NotAComplex, NotAFacet
+from tropcalc.linalg import (Lattice, dot, extend_to_unimodular,
+                             lattice_coordinates, lattice_index, sub_vec)
 from tropcalc.polyhedra import (
     AffineForm, Complex, Polyhedron, arrangement_complex, common_refinement,
     decomposition_of_pl, eliminate_coordinates, normal_vector,
@@ -17,6 +18,88 @@ def unit_square():
 
 def half_line():
     return Polyhedron(1, [((-1,), 0)])
+
+
+def reference_normal_vector(sigma, tau):
+    """The lattice normal of tau in sigma, re-derived from scratch.
+
+    Proves that tau is a facet (dimension, inclusion by LP, and a hull cut
+    of sigma that rebuilds tau), completes tau's lattice basis inside
+    sigma's, orients the result by the inequalities of sigma tight on tau,
+    and checks that a small step along it from tau lands in sigma.
+    """
+    r = sigma.ambient_rank
+    if tau.dim != sigma.dim - 1 or not sigma.includes(tau):
+        raise NotAFacet("tau is not a facet of sigma")
+    hull_cut = Polyhedron.try_new(r, sigma.ineqs, sigma.eqs + tau.eqs)
+    if hull_cut is None or hull_cut != tau:
+        raise NotAFacet("tau is not a facet of sigma")
+    b_sigma = sigma.lattice.basis
+    coords = []
+    for v in tau.lattice.basis:
+        c = lattice_coordinates(b_sigma, v, r)
+        assert c is not None and all(x.denominator == 1 for x in c)
+        coords.append(tuple(int(x) for x in c))
+    full = extend_to_unimodular(coords, len(b_sigma))
+    comp = tuple(row[-1] for row in full)
+    omega = tuple(sum(comp[i] * b_sigma[i][j] for i in range(len(b_sigma)))
+                  for j in range(r))
+    t = tau.relint_point
+    sign = 0
+    for a, b in sigma.ineqs:
+        if dot(a, t) == b and dot(a, omega) != 0:
+            cur = -1 if dot(a, omega) > 0 else 1
+            assert sign in (0, cur), "inconsistent facet orientation"
+            sign = cur
+    if sign == 0:
+        # Orient toward sigma's relative interior through an equation of
+        # tau's hull that sigma does not satisfy.
+        diff = sub_vec(sigma.relint_point, t)
+        for a, b in tau.eqs:
+            if dot(a, sigma.relint_point) != b \
+                    and dot(a, omega) != 0 and dot(a, diff) != 0:
+                sign = 1 if (dot(a, omega) > 0) == (dot(a, diff) > 0) else -1
+                break
+        assert sign != 0, "could not orient the normal vector"
+    if sign < 0:
+        omega = tuple(-x for x in omega)
+    assert points_inward(sigma, tau, omega)
+    return omega
+
+
+def points_inward(sigma, tau, omega):
+    """Whether tau's relative-interior point plus eps * omega lies in sigma
+    for the largest step eps <= 1/2 that every inequality allows."""
+    t = tau.relint_point
+    eps = Fraction(1, 2)
+    for a, b in sigma.ineqs:
+        drift = dot(a, omega)
+        if drift > 0:
+            slack = b - dot(a, t)
+            if slack <= 0:
+                return False
+            eps = min(eps, slack / drift / 2)
+    return sigma.contains(tuple(x + eps * w for x, w in zip(t, omega)))
+
+
+def random_cell(rng, rank, shape):
+    """A seeded polytope, cone or lower-dimensional cell in R^rank."""
+    def row():
+        while True:
+            a = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if any(a):
+                return a
+    if shape == "cone":
+        ineqs = [(row(), 0) for _ in range(rank + 1)]
+    else:
+        ineqs = []
+        for i in range(rank):
+            e = tuple(int(i == j) for j in range(rank))
+            ineqs.append((e, rng.randint(1, 3)))
+            ineqs.append((tuple(-x for x in e), rng.randint(0, 3)))
+        ineqs.append((row(), rng.randint(0, 4)))
+    eqs = [(row(), 0)] if shape == "flat" else []
+    return Polyhedron.try_new(rank, ineqs, eqs)
 
 
 def test_canonicalization_equality():
@@ -91,8 +174,8 @@ def test_normal_vector_examples():
     wedge = Polyhedron(2, [((0, -1), 0), ((-1, 1), 0)])  # 0 <= y <= x
     ray = Polyhedron(2, [((-1, 0), 0)], [((1, -1), 0)])  # ray of (1,1)
     omega = normal_vector(wedge, ray)
-    assert not ray.lattice.contains(omega) or True
-    # omega not in N_tau,R:
+    # omega is not in N_tau, nor even in its real span:
+    assert not ray.lattice.contains(omega)
     assert omega[0] != omega[1]
     sub = Lattice(2, [(1, 1), omega])
     assert lattice_index(sub, Lattice(2, [(1, 0), (0, 1)])) == 1
@@ -105,6 +188,40 @@ def test_normal_vector_examples():
 def test_normal_vector_independent_of_representative():
     with pytest.raises(NotAFacet):
         normal_vector(unit_square(), Polyhedron.point((0, 0)))
+
+
+def test_normal_vector_rejects_non_facets():
+    sq = unit_square()
+    with pytest.raises(NotAFacet):
+        normal_vector(sq, Polyhedron.point((1, 1)))  # a vertex
+    with pytest.raises(NotAFacet):
+        normal_vector(sq, sq)
+    other = Polyhedron(2, [((1, 0), 2), ((-1, 0), 0), ((0, 1), 1),
+                           ((0, -1), 0)])
+    right_edge = next(f for f in other.facets() if f.contains((2, 0)))
+    with pytest.raises(NotAFacet):
+        normal_vector(sq, right_edge)
+
+
+def test_facet_normals_match_reference():
+    rng = random.Random(2017)
+    checked = 0
+    for rank in range(1, 5):
+        for shape in ("polytope", "cone", "flat"):
+            for _ in range(2 if rank == 4 else 3):
+                cell = random_cell(rng, rank, shape)
+                if cell is None:
+                    continue
+                for sigma in cell.faces():
+                    pairs = sigma.facet_normals()
+                    assert [tau.key() for tau, _ in pairs] == \
+                        [tau.key() for tau in sigma.facets()]
+                    for tau, omega in pairs:
+                        assert omega == reference_normal_vector(sigma, tau)
+                        assert normal_vector(sigma, tau) == omega
+                        assert points_inward(sigma, tau, omega)
+                        checked += 1
+    assert checked > 300
 
 
 def test_common_refinement():
@@ -127,18 +244,22 @@ def test_common_refinement_two_lines():
 
 
 def test_decomposition_of_pl():
-    cx, labels = decomposition_of_pl([AffineForm((1,), 0), AffineForm((0,), 0)],
-                                     "max")
+    cells, labels = decomposition_of_pl(
+        [AffineForm((1,), 0), AffineForm((0,), 0)], "max")
+    cx = Complex(1, cells)
     maxcells = cx.maximal_cells()
     assert len(maxcells) == 2
     assert any(c.contains((-1,)) for c in maxcells)
     assert any(c.contains((1,)) for c in maxcells)
     assert len(cx.cells_of_dim(0)) == 1
 
-    cx2, labels2 = decomposition_of_pl(
+    cells2, labels2 = decomposition_of_pl(
         [AffineForm((1, 0), 0), AffineForm((0, 1), 0), AffineForm((0, 0), 0)],
         "max")
+    cx2 = Complex(2, cells2)
     assert len(cx2.maximal_cells()) == 3
+    assert [c.key() for c in cx2.maximal_cells()] == [c.key() for c in cells2]
+    assert sorted(labels2.values()) == [0, 1, 2]
     rays = cx2.cells_of_dim(1)
     assert len(rays) == 3
     dirs = set()
@@ -149,8 +270,7 @@ def test_decomposition_of_pl():
     assert dirs == {(1, 1), (-1, 0), (0, -1)}
 
     single, _ = decomposition_of_pl([AffineForm((1, 1), 2)], "min")
-    assert len(single.maximal_cells()) == 1
-    assert single.maximal_cells()[0] == Polyhedron.full_space(2)
+    assert single == [Polyhedron.full_space(2)]
 
 
 def test_complex_validate_random_arrangement():
@@ -165,6 +285,15 @@ def test_complex_validate_random_arrangement():
                 cells.append(c)
         if cells:
             arrangement_complex(2, cells).validate()
+
+
+def test_complex_validate_rejects_overlaps():
+    # Two squares overlapping in [1,2]x[0,2]: closed under faces, but they
+    # meet outside a common face.
+    a = Polyhedron(2, [((1, 0), 2), ((-1, 0), 0), ((0, 1), 2), ((0, -1), 0)])
+    b = a.translate((1, 0))
+    with pytest.raises(NotAComplex):
+        Complex(2, [a, b]).validate()
 
 
 def test_eliminate_coordinates():
