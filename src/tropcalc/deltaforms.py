@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (AmbientMismatch, NotBalanced, TypeMismatch)
 from .linalg import extend_to_unimodular, identity_mat, invert, mat_vec, rat, vec
-from .polyhedra import (AffineForm, Complex, Polyhedron, arrangement_complex,
+from .polyhedra import (AffineForm, Polyhedron, arrangement_complex,
                         decomposition_of_pl)
 from .superforms import (Poly, Superform, contract1, contract2, d1, d2,
                          j_op, pullback_form, restrict_to, wedge)
@@ -104,9 +104,6 @@ class DeltaForm:
 
     def is_zero(self) -> bool:
         return not self.cells
-
-    def support_complex(self) -> Complex:
-        return Complex(self.rank, [c for c, _ in self.cells])
 
     def coefficient(self, cell: Polyhedron) -> Superform:
         key = cell.key()

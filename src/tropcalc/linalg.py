@@ -333,10 +333,6 @@ class Lattice:
         coords = lattice_coordinates(self.basis, v, self.ambient_rank)
         return coords is not None and all(c.denominator == 1 for c in coords)
 
-    def saturation(self) -> "Lattice":
-        return Lattice(self.ambient_rank,
-                       saturation_basis(self.basis, self.ambient_rank))
-
     def __repr__(self):
         return f"Lattice(rank {self.rank} in Z^{self.ambient_rank})"
 

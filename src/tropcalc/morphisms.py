@@ -3,10 +3,13 @@
 Push-forward carries each cell to its image with the lattice index of the
 image of its tangent lattice as a multiplicity, and transports the
 coefficient through a rational one-sided inverse of the restricted map.
-Pull-back is realized geometrically: intersect with the graph cycle on the
-product space and project back to the source.  The graph cycle is built
-directly as the graph polyhedron with weight 1; the tests check it against
-the iterated corner locus of max{f_i(x'), x_i}.
+The images of a 0-cycle, or of a form on whose affine hull the map is
+injective, already form a complex; other images can overlap and are
+regularized.  Pull-back is realized geometrically: meet R^s x a with the
+graph cycle in R^(s+t) by the fan displacement rule
+(products.diagonal_wedge) and project back to the source.  The graph cycle
+is built directly as the graph polyhedron with weight 1; the tests check it
+against the iterated corner locus of max{f_i(x'), x_i}.
 """
 
 from __future__ import annotations
@@ -136,7 +139,27 @@ def _push(f: AffineMap, a: DeltaForm, drop_collapsed: bool) -> DeltaForm:
         pairs.append((image, moved.scale(weight)))
     if bad:
         raise CellNotInjective("map collapses cells", cells=bad)
+    if _images_form_complex(f, a):
+        return DeltaForm(f.target_rank, new_type, pairs)
     return regularize(f.target_rank, new_type, pairs)
+
+
+def _images_form_complex(f: AffineMap, a: DeltaForm) -> bool:
+    """Whether the images of the cells of a already form a complex.
+
+    They do when every cell is a point, and when f is injective on the
+    affine hull of the support.  The hull's direction space is spanned by
+    the cells' lattice bases and the differences of their relative-interior
+    points.
+    """
+    if a.l == a.rank or not a.cells:
+        return True
+    base = a.cells[0][0].relint_point
+    dirs = []
+    for cell, _ in a.cells:
+        dirs.extend(cell.lattice.basis)
+        dirs.append(tuple(x - y for x, y in zip(cell.relint_point, base)))
+    return mat_rank([mat_vec(f.matrix, d) for d in dirs]) == mat_rank(dirs)
 
 
 def pushforward_cells(f: AffineMap, a: DeltaForm) -> DeltaForm:

@@ -403,9 +403,6 @@ class Complex:
             self._maximal = tuple(out)
         return self._maximal
 
-    def top_dim(self) -> int:
-        return max((c.dim for c in self.cells), default=-1)
-
     def cells_of_dim(self, d: int) -> List[Polyhedron]:
         return [c for c in self.cells if c.dim == d]
 

@@ -1,22 +1,21 @@
 """Cross products and the stable intersection of balanced forms.
 
-The primary intersection algorithm is exact: form the cross product on the
-doubled space, cut down to the diagonal by one corner locus per coordinate
-(each diagonal equation is the kink locus of max{x_i, y_i}), and project
-back along the first factor.  The classical transversal formula, with the
-lattice index [Z^r : N_1 + N_2] as the intersection multiplicity, serves as
-an independent cross-check on its domain of validity.
+The stable intersection works in R^r by the fan displacement rule
+(Fulton-Sturmfels 1997; Jensen-Yu 2016): move one form by a small multiple
+of a generic vector v, and let every pair of maximal cells that still meets
+contribute the wedge of their coefficients times the lattice index
+[Z^r : N_1 + N_2] on their cut.  The test for a pair is local and exact:
+one LP over the tangent cones at a relative-interior point of the cut.  The
+vectors v run along the moment curve until one is generic for every pair.
+The classical transversal formula, with the same multiplicity, serves as an
+independent cross-check on its domain of validity.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .deltaforms import (DeltaForm, PSFunction, check_balanced,
-                         corner_locus, equal, regularize)
-from .errors import (AmbientMismatch, NonGenericVector, NotBalanced,
-                     NotTransversal)
-from .linalg import INFINITE, rank as mat_rank, rat, smith_normal_form, vec
+from .deltaforms import DeltaForm, check_balanced, regularize
+from .errors import AmbientMismatch, NotBalanced, NotTransversal
+from .linalg import INFINITE, dot, rank as mat_rank, smith_normal_form
 from .lp import lp_maximize
 from .polyhedra import Polyhedron
 from .superforms import Poly, Superform, wedge
@@ -62,19 +61,26 @@ def cross(a: DeltaForm, b: DeltaForm) -> DeltaForm:
     return DeltaForm(n, ptype, out)
 
 
+def _max_slack(ineqs, eqs, r: int):
+    """Largest t <= 1 with a.x + t <= b on every inequality row and the
+    equalities held; None when the equalities have no common solution."""
+    ext = [(tuple(n) + (1,), c) for n, c in ineqs]
+    ext.append((tuple(0 for _ in range(r)) + (1,), 1))
+    ext_eqs = [(tuple(n) + (0,), c) for n, c in eqs]
+    obj = tuple(0 for _ in range(r)) + (1,)
+    res = lp_maximize(ext, ext_eqs, obj, r + 1)
+    return res.value if res.status == "optimal" else None
+
+
 def _relints_meet(a: Polyhedron, b: Polyhedron) -> bool:
-    ineqs = [(n + (1,), c) for n, c in a.ineqs]
-    ineqs += [(n + (1,), c) for n, c in b.ineqs]
-    ineqs.append((tuple(0 for _ in range(a.ambient_rank)) + (1,), 1))
-    eqs = [(n + (0,), c) for n, c in a.eqs]
-    eqs += [(n + (0,), c) for n, c in b.eqs]
-    obj = tuple(0 for _ in range(a.ambient_rank)) + (1,)
-    res = lp_maximize(ineqs, eqs, obj, a.ambient_rank + 1)
-    return res.status == "optimal" and res.value > 0
+    t = _max_slack(a.ineqs + b.ineqs, a.eqs + b.eqs, a.ambient_rank)
+    return t is not None and t > 0
 
 
 def _sum_lattice_index(basis1, basis2, r: int):
     """Index of the subgroup generated by both bases inside Z^r."""
+    if r == 0:
+        return 1
     gens = [tuple(v) for v in basis1] + [tuple(v) for v in basis2]
     if not gens or mat_rank(gens) < r:
         return INFINITE
@@ -107,8 +113,76 @@ def transversal_wedge(a: DeltaForm, b: DeltaForm) -> DeltaForm:
     return regularize(r, ptype, out)
 
 
+# The first displacement vector tried is the point at FIRST_MOMENT of the
+# moment curve; each retry moves one step further along the curve.
+FIRST_MOMENT = 2
+
+
+def displacement_vector(r: int, m: int) -> tuple:
+    """The point (1, m, m^2, ..., m^(r-1)) of the moment curve in Z^r."""
+    return tuple(m ** i for i in range(r))
+
+
+def _meets_after_move(sigma: Polyhedron, tau: Polyhedron, p, v):
+    """Whether sigma meets tau + eps*v near p for all small eps > 0.
+
+    Only the tangent cones at p matter, and cones are invariant under
+    scaling, so eps = 1 decides it: x in T_p sigma with x - v in T_p tau.
+    True when the relative interiors of the cones meet, False when the
+    closed cones do not meet, None when v lies on the boundary of
+    T_p sigma - T_p tau and so is not generic for this pair.
+    """
+    ineqs = [(a, b) for a, b in sigma.ineqs if dot(a, p) == b]
+    ineqs += [(a, b + dot(a, v)) for a, b in tau.ineqs if dot(a, p) == b]
+    eqs = list(sigma.eqs) + [(a, b + dot(a, v)) for a, b in tau.eqs]
+    t = _max_slack(ineqs, eqs, sigma.ambient_rank)
+    if t is None or t < 0:
+        return False
+    return True if t > 0 else None
+
+
+def _expected_cuts(a: DeltaForm, b: DeltaForm, k: int):
+    """The pairs of maximal cells whose cut has dimension k, with the cut."""
+    out = []
+    for ca, fa in a.cells:
+        for cb, fb in b.cells:
+            cut = ca.intersect(cb)
+            if cut is not None and cut.dim == k:
+                out.append((ca, fa, cb, fb, cut))
+    return out
+
+
+def _displaced_pairs(candidates, v, r: int):
+    """The weighted cuts of the pairs whose second cell, moved by a small
+    multiple of v, still meets the first.
+
+    Returns None when v is not generic for one of the pairs.
+    """
+    out = []
+    for ca, fa, cb, fb, cut in candidates:
+        meets = _meets_after_move(ca, cb, cut.relint_point, v)
+        if meets is None:
+            return None
+        if not meets:
+            continue
+        m = _sum_lattice_index(ca.lattice.basis, cb.lattice.basis, r)
+        if m is INFINITE:
+            return None
+        out.append((cut, wedge(fa, fb).scale(m)))
+    return out
+
+
 def diagonal_wedge(a: DeltaForm, b: DeltaForm) -> DeltaForm:
-    """Stable intersection via the diagonal corner-locus construction."""
+    """Stable intersection by the fan displacement rule.
+
+    A pair of maximal cells (sigma, tau) whose intersection, the cut, has
+    the expected dimension k = r - l_a - l_b contributes
+    wedge(alpha_sigma, beta_tau) * [Z^r : N_sigma + N_tau] on the cut
+    exactly when sigma meets tau + eps*v for a generic v and all small
+    eps > 0.  A larger cut means the affine hulls are not transversal, and
+    such a pair never meets after a generic move.  The cuts are cells of
+    the common refinement of the two complexes, so they form a complex.
+    """
     if a.rank != b.rank:
         raise AmbientMismatch("forms on different ambient spaces")
     r = a.rank
@@ -117,61 +191,16 @@ def diagonal_wedge(a: DeltaForm, b: DeltaForm) -> DeltaForm:
         if not ok:
             raise NotBalanced(f"{len(fails)} unbalanced faces")
     ptype = (a.p + b.p, a.q + b.q, a.l + b.l)
-    if a.is_zero() or b.is_zero():
+    k = r - a.l - b.l
+    if a.is_zero() or b.is_zero() or k < 0:
         return DeltaForm.zero(r, ptype)
-    c = cross(a, b)
-    for i in range(r):
-        xi = tuple(int(j == i) for j in range(2 * r)) + (0,)
-        yi = tuple(int(j == r + i) for j in range(2 * r)) + (0,)
-        phi = PSFunction.from_minmax(2 * r, "max", [xi, yi])
-        c = corner_locus(phi, c, assume_balanced=True)
-        if c.is_zero():
-            return DeltaForm.zero(r, ptype)
-    from .morphisms import AffineMap, pushforward_cells
-    proj = AffineMap.projection(2 * r, r)
-    return pushforward_cells(proj, c)
-
-
-def translated_wedge_check(a: DeltaForm, b: DeltaForm, v: Sequence,
-                           eps_schedule: Sequence) -> bool:
-    """Generic-translation cross-check against the diagonal construction.
-
-    Intersects a with b moved by eps*v for a decreasing schedule of rational
-    eps; each result is expressed on the untranslated cells (the eps -> 0
-    re-expression).  Once two consecutive results agree, the stabilized form
-    is compared with the exact diagonal product.
-    """
-    for form in (a, b):
-        ok, fails = check_balanced(form)
-        if not ok:
-            raise NotBalanced(f"{len(fails)} unbalanced faces")
-    r = a.rank
-    v = vec(v)
-    ptype = (a.p + b.p, a.q + b.q, a.l + b.l)
-    results = []
-    for eps in eps_schedule:
-        eps = rat(eps)
-        shift = tuple(eps * x for x in v)
-        out = []
-        for ca, fa in a.cells:
-            for cb, fb in b.cells:
-                moved = cb.translate(shift)
-                if ca.intersect(moved) is None:
-                    continue
-                coeff = wedge(fa, fb)
-                spans_sum = mat_rank(tuple(ca.lattice.basis)
-                                     + tuple(cb.lattice.basis)) == r
-                if not _relints_meet(ca, moved) or not spans_sum:
-                    if not coeff.is_zero():
-                        raise NonGenericVector(
-                            "translation produced a non-transversal pair")
-                    continue
-                cut = ca.intersect(cb)
-                if cut is None:
-                    continue
-                m = _sum_lattice_index(ca.lattice.basis, cb.lattice.basis, r)
-                out.append((cut, coeff.scale(m)))
-        results.append(regularize(r, ptype, out))
-        if len(results) >= 2 and equal(results[-1], results[-2]):
-            return equal(results[-1], diagonal_wedge(a, b))
-    return False
+    candidates = _expected_cuts(a, b, k)
+    # A vector that is not generic lies on one of finitely many hyperplanes
+    # through the origin, and the moment curve meets each of them for at
+    # most r - 1 values of m, so the loop ends.
+    m = FIRST_MOMENT
+    while True:
+        pairs = _displaced_pairs(candidates, displacement_vector(r, m), r)
+        if pairs is not None:
+            return DeltaForm(r, ptype, pairs)
+        m += 1

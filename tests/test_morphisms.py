@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+import tropcalc.morphisms
 from tropcalc.deltaforms import DeltaForm, PSFunction, corner_locus, equal
 from tropcalc.errors import CellNotInjective, NotBalanced
 from tropcalc.integration import degree, integrate_cell
-from tropcalc.morphisms import (AffineMap, graph_cycle, graph_polyhedron,
-                                image_polyhedron, projection_formula_check,
-                                pullback, pushforward_cells, pushforward_hat)
+from tropcalc.morphisms import (AffineMap, _images_form_complex, graph_cycle,
+                                graph_polyhedron, image_polyhedron,
+                                projection_formula_check, pullback,
+                                pushforward_cells, pushforward_hat)
+from tropcalc.products import cross, diagonal_wedge
 from tropcalc.polyhedra import Polyhedron
 from tropcalc.superforms import Poly, Superform
 
-from util import random_cycle, random_superform, standard_line
+from util import random_balanced, random_cycle, random_pl, standard_line
 
 
 def test_affine_map_basics():
@@ -173,3 +176,59 @@ def test_projection_formula():
                      DeltaForm.full_space(1))
     assert projection_formula_check(f, a, b)
     assert projection_formula_check(f, DeltaForm.full_space(2), b)
+
+
+def test_push_skips_regularize_only_when_images_form_a_complex(monkeypatch):
+    rng = random.Random(1201)
+    cases = []  # (expected verdict, push, map, form)
+    for _ in range(4):
+        while True:
+            matrix = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+            if matrix[0][0] * matrix[1][1] != matrix[0][1] * matrix[1][0]:
+                break
+        f = AffineMap(2, 2, matrix, [rng.randint(-2, 2), Fraction(1, 2)])
+        cases.append((True, pushforward_cells, f, random_cycle(rng, 2, 1)))
+        cases.append((True, pushforward_cells, f,
+                      random_balanced(rng, 2, 1, 0, 1)))
+    for _ in range(4):
+        # the projection of a graph intersection, as in pullback
+        f = AffineMap(2, 2, [[rng.randint(-2, 2) for _ in range(2)]
+                             for _ in range(2)])
+        lifted = cross(DeltaForm.full_space(2), random_cycle(rng, 2, 1))
+        cut = diagonal_wedge(graph_cycle(f), lifted)
+        cases.append((True, pushforward_cells, AffineMap.projection(4, 2),
+                      cut))
+    for _ in range(3):
+        points = diagonal_wedge(random_cycle(rng, 2, 1),
+                                random_cycle(rng, 2, 1))
+        f = AffineMap(2, 1, [[rng.randint(-2, 2), rng.randint(-2, 2)]])
+        cases.append((True, pushforward_hat, f, points))
+    to_line = AffineMap(2, 1, [[1, 1]])
+    cases.append((False, pushforward_hat, to_line, standard_line()))
+    conic = corner_locus(random_pl(rng, 2, nterms=5, kind="max"),
+                         DeltaForm.full_space(2))
+    cases.append((False, pushforward_hat, to_line, conic))
+
+    fast = []
+    for verdict, push, f, a in cases:
+        assert _images_form_complex(f, a) is verdict
+        fast.append(push(f, a))
+    monkeypatch.setattr(tropcalc.morphisms, "_images_form_complex",
+                        lambda f, a: False)
+    for (_, push, f, a), got in zip(cases, fast):
+        assert equal(got, push(f, a))
+
+
+def test_pullback_matches_regularized_projection(monkeypatch):
+    rng = random.Random(1203)
+    cases = []
+    for _ in range(4):
+        f = AffineMap(2, 2, [[rng.randint(-2, 2) for _ in range(2)]
+                             for _ in range(2)], [rng.randint(-2, 2), 0])
+        a = random_cycle(rng, 2, 1)
+        cases.append((f, a, pullback(f, a)))
+    monkeypatch.setattr(tropcalc.morphisms, "_images_form_complex",
+                        lambda f, a: False)
+    for f, a, got in cases:
+        assert equal(got, pullback(f, a))
+    assert sum(not got.is_zero() for _, _, got in cases) >= 3
