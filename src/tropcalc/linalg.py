@@ -64,14 +64,6 @@ def dot(a: Sequence, b: Sequence):
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def add_vec(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub_vec(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
     return tuple(dot(row, v) for row in m)
 

@@ -5,7 +5,9 @@ variables are split into differences of nonnegative ones; equalities become
 inequality pairs; a single artificial variable gives the phase-1 start.
 Bland's rule guarantees termination without tolerances.  Infeasibility comes
 with a Farkas certificate: y >= 0 with y.A = 0 and y.b < 0 over the combined
-inequality rows.
+inequality rows; an optimum with its dual: y >= 0 with y.A = c and
+y.b = c.x for the maximized c.  lp_max_slack, max t <= 1 with
+a.x + t <= b, is the one LP that canonicalises polyhedra.
 
 The simplex runs on Python ints, fraction-free (Bareiss 1968; Avis, lrs).
 Each rational row is scaled by the lcm of its denominators, which only
@@ -35,6 +37,10 @@ class LPResult:
     point: Optional[Vec] = None
     value: Optional[Fraction] = None
     farkas: Optional[Vec] = None  # multipliers over the expanded <= rows
+    dual: Optional[Vec] = None  # optimal multipliers over the same rows
+
+
+_ZERO = Fraction(0)
 
 
 def _check_rank(constraints, rank_: int):
@@ -183,13 +189,16 @@ def solve_lp(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
         tab.pivot(neg, nstruct)
         if tab.optimize() != "optimal":
             raise InternalError("phase 1 is unbounded despite -t <= 0")
+    def duals(s: int = 1) -> Vec:
+        # The negated reduced costs on the slack columns.  Scaling row i by
+        # scales[i] and the objective by s scaled the dual of row i by s /
+        # scales[i].
+        obj = tab.obj
+        return tuple(Fraction(-obj[nstruct + 1 + i] * scales[i], tab.d * s)
+                     if obj[nstruct + 1 + i] else _ZERO for i in range(m))
+
     if m and tab.obj[-1] != 0:
-        # Infeasible: the phase-1 duals are the negated reduced costs on the
-        # slack columns.  Row i was scaled by scales[i], which divided its
-        # dual by scales[i].
-        y = tuple(Fraction(-tab.obj[nstruct + 1 + i] * scales[i], tab.d)
-                  for i in range(m))
-        return LPResult(status="infeasible", farkas=y)
+        return LPResult(status="infeasible", farkas=duals())
 
     # Pivot the artificial variable out of the basis if it lingers at zero.
     if m and nstruct in tab.basis:
@@ -219,7 +228,7 @@ def solve_lp(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
     x = tab.point(rank_)
     point = tuple(Fraction(v, tab.d) for v in x)
     value = Fraction(sum(ci * v for ci, v in zip(c, x)), s * tab.d)
-    return LPResult(status="optimal", point=point, value=value)
+    return LPResult(status="optimal", point=point, value=value, dual=duals(s))
 
 
 def lp_feasible(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
@@ -231,3 +240,16 @@ def lp_feasible(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
 def lp_maximize(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
                 objective: Sequence, rank_: int) -> LPResult:
     return solve_lp(ineqs, eqs, objective, rank_, maximize=True)
+
+
+def lp_max_slack(ineqs: Sequence[Constraint], eqs: Sequence[Constraint],
+                 rank_: int) -> LPResult:
+    """Max t <= 1 subject to a.x + t <= b on every inequality and E.x = f,
+    over (x, t): value is t, point is (x, t), and the dual starts with one
+    multiplier per inequality.  Infeasible exactly when the equalities are.
+    """
+    zeros = (0,) * rank_
+    ext = [(tuple(a) + (1,), b) for a, b in ineqs]
+    ext.append((zeros + (1,), 1))
+    ext_eqs = [(tuple(a) + (0,), b) for a, b in eqs]
+    return solve_lp(ext, ext_eqs, zeros + (1,), rank_ + 1)

@@ -7,6 +7,12 @@ deduplicated and made irredundant by exact LP.  Two polyhedra are equal iff
 their canonical representations coincide, which makes semantic equality a
 tuple comparison and lets complexes deduplicate cells by hashing.
 
+One max-slack LP, max t <= 1 with a.x + t <= b, decides emptiness (t* < 0),
+the implicit equalities and a relative-interior point (Schrijver, Theory of
+Linear and Integer Programming, 8.2; cddlib's implicit linearity step).  At
+t* = 0 the rows with a positive dual multiplier are tight everywhere, join
+the equalities, and the LP runs again.  One LP per row drops redundant rows.
+
 Facets are built once per polyhedron, one per canonical inequality, and
 carry their lattice normal vectors (Polyhedron.facet_normals, built on first
 use): the boundary derivatives, corner loci and boundary integrals read the
@@ -25,7 +31,7 @@ from .linalg import (
     Lattice, dot, extend_to_unimodular, int_kernel, lattice_coordinates, rat,
     vec,
 )
-from .lp import lp_feasible, lp_maximize, solve_lp
+from .lp import lp_feasible, lp_max_slack, lp_maximize
 
 IntNormal = Tuple[int, ...]
 Ineq = Tuple[IntNormal, Fraction]
@@ -51,8 +57,8 @@ def _rref_eqs(eqs: Sequence[Tuple[Sequence, object]], rank_: int):
     """Reduced echelon form of equality rows, scaled to primitive integers.
 
     Returns (rows, pivots); each row is (normal, offset) with the pivot entry
-    positive.  Inconsistent systems return None (callers check feasibility
-    first, so this is defensive).
+    positive.  Inconsistent systems return None: this is the emptiness test
+    for the equalities.
     """
     aug = [[rat(x) for x in a] + [rat(b)] for a, b in eqs]
     pivots: List[int] = []
@@ -288,35 +294,39 @@ def _build(rank_: int, ineqs: Iterable, eqs: Iterable):
             continue
         raw_eqs.append(prim)
 
-    if lp_feasible(raw_ineqs, raw_eqs, rank_).status != "optimal":
-        return None
-
-    # Implicit equalities: inequalities that hold with equality everywhere.
-    pending = list(raw_ineqs)
-    strict: List[Ineq] = []
-    for a, b in pending:
-        res = lp_maximize(raw_ineqs, raw_eqs, tuple(-x for x in a), rank_)
-        if res.status == "optimal" and -res.value == b:
-            raw_eqs.append((a, b))
-        else:
-            strict.append((a, b))
-
-    rref = _rref_eqs(raw_eqs, rank_)
-    if rref is None:
-        return None
-    eq_rows, pivots = rref
-
-    # Reduce inequalities modulo the hull, deduplicate, drop trivial ones.
-    by_normal: Dict[IntNormal, Fraction] = {}
-    for a, b in strict:
-        ra, rb = _reduce_mod_eqs(a, b, eq_rows, pivots)
-        prim = _primitive(ra, rb)
-        if prim is None:
-            continue  # valid on the hull; feasibility already checked
-        na, nb = prim
-        if na not in by_normal or nb < by_normal[na]:
-            by_normal[na] = nb
-    ineq_list = sorted(by_normal.items())
+    # Implicit equalities, one max-slack LP per round: rows with a positive
+    # optimal multiplier at t* = 0 are tight on the whole polyhedron.
+    while True:
+        rref = _rref_eqs(raw_eqs, rank_)
+        if rref is None:
+            return None
+        eq_rows, pivots = rref
+        # Reduce inequalities modulo the hull, deduplicate, drop trivial
+        # ones; reducing drops a facet's own row, which would force t* = 0.
+        by_normal: Dict[IntNormal, Fraction] = {}
+        for a, b in raw_ineqs:
+            ra, rb = _reduce_mod_eqs(a, b, eq_rows, pivots)
+            prim = _primitive(ra, rb)
+            if prim is None:
+                if rb < 0:
+                    return None
+                continue
+            na, nb = prim
+            if na not in by_normal or nb < by_normal[na]:
+                by_normal[na] = nb
+        ineq_list = sorted(by_normal.items())
+        if not ineq_list:
+            break
+        slack = lp_max_slack(ineq_list, eq_rows, rank_)
+        if slack.status != "optimal" or slack.value < 0:
+            return None
+        if slack.value > 0:
+            break
+        tight = [row for row, y in zip(ineq_list, slack.dual) if y > 0]
+        if not tight:
+            raise InternalError("a slack LP at t* = 0 without a tight row")
+        raw_eqs = list(eq_rows) + tight
+        raw_ineqs = [row for row, y in zip(ineq_list, slack.dual) if y == 0]
 
     # Irredundancy by exact LP, one inequality at a time.
     kept = list(ineq_list)
@@ -334,26 +344,13 @@ def _build(rank_: int, ineqs: Iterable, eqs: Iterable):
     lattice = Lattice(rank_, basis)
     dim = len(basis)
 
-    relint = _relint_point(kept, eq_rows, rank_)
+    if len(kept) < len(ineq_list):
+        # Solve again, so that relint_point ignores the dropped rows.
+        slack = lp_max_slack(kept, eq_rows, rank_)
+    relint = (slack.point[:rank_] if kept
+              else lp_feasible([], eq_rows, rank_).point)
     return (rank_, tuple(kept), tuple(eq_rows), tuple(pivots), dim,
             lattice, relint)
-
-
-def _relint_point(ineqs: Sequence[Ineq], eqs: Sequence[Ineq], rank_: int):
-    """A rational point satisfying every inequality strictly."""
-    if not ineqs:
-        res = lp_feasible([], eqs, rank_)
-        return res.point
-    # Maximize slack t subject to a.x + t <= b, t <= 1 in rank+1 variables.
-    ext_ineqs = [(tuple(a) + (1,), b) for a, b in ineqs]
-    ext_ineqs.append((tuple(0 for _ in range(rank_)) + (1,), Fraction(1)))
-    ext_eqs = [(tuple(a) + (0,), b) for a, b in eqs]
-    obj = tuple(0 for _ in range(rank_)) + (1,)
-    res = solve_lp(ext_ineqs, ext_eqs, obj, rank_ + 1)
-    if res.status != "optimal" or res.value <= 0:
-        raise InternalError("a nonempty polyhedron without implicit "
-                            "equalities has no strictly interior point")
-    return res.point[:rank_]
 
 
 def normal_vector(sigma: Polyhedron, tau: Polyhedron) -> IntNormal:
@@ -370,23 +367,16 @@ def normal_vector(sigma: Polyhedron, tau: Polyhedron) -> IntNormal:
 class Complex:
     """A face-closed polyhedral complex."""
 
-    def __init__(self, ambient_rank: int, cells: Iterable[Polyhedron],
-                 close: bool = True):
+    def __init__(self, ambient_rank: int, cells: Iterable[Polyhedron]):
         self.ambient_rank = ambient_rank
-        seen: Dict[tuple, Polyhedron] = {}
-        stack = list(cells)
-        for c in stack:
+        cells = list(cells)
+        for c in cells:
             if c.ambient_rank != ambient_rank:
                 raise AmbientMismatch("cell rank != complex rank")
-        if close:
-            collected: Dict[tuple, Polyhedron] = {}
-            for c in stack:
-                for f in c.faces():
-                    collected.setdefault(f.key(), f)
-            seen = collected
-        else:
-            for c in stack:
-                seen.setdefault(c.key(), c)
+        seen: Dict[tuple, Polyhedron] = {}
+        for c in cells:
+            for f in c.faces():
+                seen.setdefault(f.key(), f)
         self.cells: Tuple[Polyhedron, ...] = tuple(
             sorted(seen.values(), key=lambda p: (p.dim, p.key())))
         self._maximal: Optional[Tuple[Polyhedron, ...]] = None
@@ -421,24 +411,6 @@ class Complex:
                 if inter is not None and inter.key() not in keys:
                     raise NotAComplex("cells meet outside a common face")
 
-    def refine_cell_by(self, cell: Polyhedron, hyperplanes) -> List[Polyhedron]:
-        pieces = [cell]
-        for a, b in hyperplanes:
-            new: List[Polyhedron] = []
-            for p in pieces:
-                lo = Polyhedron.try_new(self.ambient_rank,
-                                        p.ineqs + ((a, b),), p.eqs)
-                hi = Polyhedron.try_new(self.ambient_rank,
-                                        p.ineqs + ((tuple(-x for x in a), -b),),
-                                        p.eqs)
-                if lo is not None and hi is not None \
-                        and lo.dim == p.dim and hi.dim == p.dim:
-                    new.extend([lo, hi])
-                else:
-                    new.append(p)
-            pieces = new
-        return pieces
-
 
 def hyperplanes_of(cells: Iterable[Polyhedron]) -> List[Ineq]:
     """All affine hyperplanes appearing in the cells' canonical constraints."""
@@ -457,6 +429,26 @@ def hyperplanes_of(cells: Iterable[Polyhedron]) -> List[Ineq]:
     return sorted(seen.values())
 
 
+def _refine_cell_by(cell: Polyhedron, hyperplanes) -> List[Polyhedron]:
+    """Split cell along each hyperplane that cuts it into two full pieces."""
+    pieces = [cell]
+    for a, b in hyperplanes:
+        new: List[Polyhedron] = []
+        for p in pieces:
+            lo = Polyhedron.try_new(p.ambient_rank, p.ineqs + ((a, b),),
+                                    p.eqs)
+            hi = Polyhedron.try_new(p.ambient_rank,
+                                    p.ineqs + ((tuple(-x for x in a), -b),),
+                                    p.eqs)
+            if lo is not None and hi is not None \
+                    and lo.dim == p.dim and hi.dim == p.dim:
+                new.extend([lo, hi])
+            else:
+                new.append(p)
+        pieces = new
+    return pieces
+
+
 def arrangement_complex(ambient_rank: int, cells: Sequence[Polyhedron]) -> Complex:
     """Refine arbitrary cells into a valid face-closed complex.
 
@@ -464,12 +456,11 @@ def arrangement_complex(ambient_rank: int, cells: Sequence[Polyhedron]) -> Compl
     cell, so the resulting pieces pairwise intersect in common faces.
     """
     planes = hyperplanes_of(cells)
-    tmp = Complex(ambient_rank, [], close=False)
     pieces: List[Polyhedron] = []
     for c in cells:
         relevant = [h for h in planes
                     if c.intersect(Polyhedron(ambient_rank, (), (h,))) is not None]
-        pieces.extend(tmp.refine_cell_by(c, relevant))
+        pieces.extend(_refine_cell_by(c, relevant))
     return Complex(ambient_rank, pieces)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .deltaforms import DeltaForm, check_balanced, regularize
 from .errors import AmbientMismatch, NotBalanced, NotTransversal
 from .linalg import INFINITE, dot, rank as mat_rank, smith_normal_form
-from .lp import lp_maximize
+from .lp import lp_max_slack
 from .polyhedra import Polyhedron
 from .superforms import Poly, Superform, wedge
 
@@ -61,20 +61,9 @@ def cross(a: DeltaForm, b: DeltaForm) -> DeltaForm:
     return DeltaForm(n, ptype, out)
 
 
-def _max_slack(ineqs, eqs, r: int):
-    """Largest t <= 1 with a.x + t <= b on every inequality row and the
-    equalities held; None when the equalities have no common solution."""
-    ext = [(tuple(n) + (1,), c) for n, c in ineqs]
-    ext.append((tuple(0 for _ in range(r)) + (1,), 1))
-    ext_eqs = [(tuple(n) + (0,), c) for n, c in eqs]
-    obj = tuple(0 for _ in range(r)) + (1,)
-    res = lp_maximize(ext, ext_eqs, obj, r + 1)
-    return res.value if res.status == "optimal" else None
-
-
 def _relints_meet(a: Polyhedron, b: Polyhedron) -> bool:
-    t = _max_slack(a.ineqs + b.ineqs, a.eqs + b.eqs, a.ambient_rank)
-    return t is not None and t > 0
+    res = lp_max_slack(a.ineqs + b.ineqs, a.eqs + b.eqs, a.ambient_rank)
+    return res.status == "optimal" and res.value > 0
 
 
 def _sum_lattice_index(basis1, basis2, r: int):
@@ -135,10 +124,10 @@ def _meets_after_move(sigma: Polyhedron, tau: Polyhedron, p, v):
     ineqs = [(a, b) for a, b in sigma.ineqs if dot(a, p) == b]
     ineqs += [(a, b + dot(a, v)) for a, b in tau.ineqs if dot(a, p) == b]
     eqs = list(sigma.eqs) + [(a, b + dot(a, v)) for a, b in tau.eqs]
-    t = _max_slack(ineqs, eqs, sigma.ambient_rank)
-    if t is None or t < 0:
+    res = lp_max_slack(ineqs, eqs, sigma.ambient_rank)
+    if res.status != "optimal" or res.value < 0:
         return False
-    return True if t > 0 else None
+    return True if res.value > 0 else None
 
 
 def _expected_cuts(a: DeltaForm, b: DeltaForm, k: int):

@@ -67,7 +67,7 @@ def test_integration_lattice_invariance():
     u = ((1, 1), (0, 1))
     t = (3, -2)
     image_cells = []
-    from tropcalc.linalg import invert, mat_vec, add_vec, sub_vec
+    from tropcalc.linalg import invert, mat_vec
     uinv = invert(u)
     # transformed triangle: constraints a.(U^-1 (y - t)) <= b
     ineqs = []

@@ -5,11 +5,13 @@ import pytest
 
 from tropcalc.errors import DimensionMismatch
 from tropcalc.linalg import vec
-from tropcalc.lp import LPResult, lp_feasible, lp_maximize, solve_lp
+from tropcalc.lp import (LPResult, lp_feasible, lp_max_slack, lp_maximize,
+                         solve_lp)
 
 
 # -- reference: the rational tableau simplex the integer one replaced -------
-# Same Bland's rule, phase 1 and Farkas read-off, over Fraction throughout.
+# Same Bland's rule, phase 1, Farkas and dual read-off, over Fraction
+# throughout.
 # The fraction-free solver must take the same pivots and so return the same
 # LPResult, certificate included.
 
@@ -116,7 +118,8 @@ def oracle_solve_lp(ineqs, eqs, objective, rank_, maximize=True):
     sol = tab.solution()
     point = tuple(sol[i] - sol[rank_ + i] for i in range(rank_))
     value = sum((c * x for c, x in zip(objv, point)), Fraction(0))
-    return LPResult(status="optimal", point=point, value=value)
+    y = tuple(-tab.obj[nstruct + 1 + i] for i in range(m))
+    return LPResult(status="optimal", point=point, value=value, dual=y)
 
 
 def satisfies(point, ineqs, eqs):
@@ -129,12 +132,17 @@ def satisfies(point, ineqs, eqs):
     return True
 
 
-def check_farkas(res, ineqs, eqs, rank_):
-    # Expanded rows: the ineqs, then each equality as a <= pair.
+def expanded_rows(ineqs, eqs):
+    """The ineqs, then each equality as a <= pair, as the solver sees them."""
     rows = [(list(a), Fraction(b)) for a, b in ineqs]
     for a, b in eqs:
         rows.append((list(a), Fraction(b)))
         rows.append(([-x for x in a], -Fraction(b)))
+    return rows
+
+
+def check_farkas(res, ineqs, eqs, rank_):
+    rows = expanded_rows(ineqs, eqs)
     y = res.farkas
     assert y is not None and len(y) == len(rows)
     assert all(v >= 0 for v in y)
@@ -292,3 +300,48 @@ def test_farkas_with_rational_rows():
     assert res.status == "infeasible"
     check_farkas(res, ineqs, eqs, 2)
     assert res == oracle_solve_lp(ineqs, eqs, None, 2)
+
+
+def test_dual_certifies_optimum():
+    # Weak duality makes y >= 0, y.A = c and y.b = c.x a proof of
+    # optimality; c is the objective when maximizing and its negation when
+    # minimizing.
+    rng = random.Random(77)
+    checked = {True: 0, False: 0}
+    for _ in range(1000):
+        ineqs, eqs, objective, r, maximize = _random_lp(rng)
+        if objective is None:
+            continue
+        res = solve_lp(ineqs, eqs, objective, r, maximize)
+        if res.status != "optimal":
+            assert res.dual is None
+            continue
+        sign = 1 if maximize else -1
+        rows = expanded_rows(ineqs, eqs)
+        y = res.dual
+        assert len(y) == len(rows) and all(v >= 0 for v in y)
+        for j in range(r):
+            assert sum(y[i] * Fraction(rows[i][0][j])
+                       for i in range(len(rows))) == sign * Fraction(objective[j])
+        assert sum(y[i] * rows[i][1] for i in range(len(rows))) == \
+            sign * res.value
+        checked[maximize] += 1
+    assert checked[True] >= 150 and checked[False] >= 60
+
+
+def test_max_slack():
+    # 0 <= x <= 1: the slack reaches 1/2 at the midpoint.
+    res = lp_max_slack([((1,), 1), ((-1,), 0)], [], 1)
+    assert res.value == Fraction(1, 2) and res.point == (Fraction(1, 2),) * 2
+    # An open box hits the cap t <= 1.
+    res = lp_max_slack([((1, 0), 5), ((-1, 0), 5)], [], 2)
+    assert res.value == 1
+    # x <= 0 <= x: t* = 0, and the multipliers sit on the two tight rows.
+    res = lp_max_slack([((1,), 0), ((-1,), 0), ((1,), 3)], [], 1)
+    assert res.value == 0
+    assert res.dual[:3] == (Fraction(1, 2), Fraction(1, 2), 0)
+    # x >= 1 and x <= 0: t* < 0.
+    assert lp_max_slack([((-1,), -1), ((1,), 0)], [], 1).value < 0
+    # Inconsistent equalities make the LP infeasible.
+    res = lp_max_slack([((1,), 0)], [((1,), 0), ((1,), 1)], 1)
+    assert res.status == "infeasible"

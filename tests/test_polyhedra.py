@@ -1,15 +1,23 @@
 import random
 from fractions import Fraction
+from typing import Dict, Iterable, List, Sequence
 
 import pytest
 
-from tropcalc.errors import AmbientMismatch, NotAComplex, NotAFacet
-from tropcalc.linalg import (Lattice, dot, extend_to_unimodular,
-                             lattice_coordinates, lattice_index, sub_vec)
+from tropcalc.errors import (AmbientMismatch, InternalError, NotAComplex,
+                             NotAFacet)
+from tropcalc.linalg import (Lattice, dot, extend_to_unimodular, int_kernel,
+                             lattice_coordinates, lattice_index, rat)
+from tropcalc.lp import lp_feasible, lp_maximize, solve_lp
 from tropcalc.polyhedra import (
-    AffineForm, Complex, Polyhedron, arrangement_complex, common_refinement,
+    AffineForm, Complex, Ineq, IntNormal, Polyhedron, _build, _primitive,
+    _reduce_mod_eqs, _rref_eqs, arrangement_complex, common_refinement,
     decomposition_of_pl, eliminate_coordinates, normal_vector,
 )
+
+
+def sub_vec(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def unit_square():
@@ -322,3 +330,185 @@ def test_includes_and_translate():
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         unit_square().intersect(half_line())
+
+
+# -- reference: canonicalisation by four kinds of LP -------------------------
+# The _build that the single max-slack LP replaced: a feasibility LP, one
+# implicit-equality LP per inequality, one redundancy LP per inequality and
+# a max-slack LP for the relative-interior point.  The new _build must give
+# the same canonical polyhedron and the same relative-interior point.
+
+def _build_reference(rank_: int, ineqs: Iterable, eqs: Iterable):
+    raw_ineqs: List[Ineq] = []
+    for a, b in ineqs:
+        prim = _primitive(a, b)
+        if prim is None:
+            if rat(b) < 0:
+                return None
+            continue
+        raw_ineqs.append(prim)
+    raw_eqs: List[Ineq] = []
+    for a, b in eqs:
+        prim = _primitive(a, b)
+        if prim is None:
+            if rat(b) != 0:
+                return None
+            continue
+        raw_eqs.append(prim)
+
+    if lp_feasible(raw_ineqs, raw_eqs, rank_).status != "optimal":
+        return None
+
+    # Implicit equalities: inequalities that hold with equality everywhere.
+    pending = list(raw_ineqs)
+    strict: List[Ineq] = []
+    for a, b in pending:
+        res = lp_maximize(raw_ineqs, raw_eqs, tuple(-x for x in a), rank_)
+        if res.status == "optimal" and -res.value == b:
+            raw_eqs.append((a, b))
+        else:
+            strict.append((a, b))
+
+    rref = _rref_eqs(raw_eqs, rank_)
+    if rref is None:
+        return None
+    eq_rows, pivots = rref
+
+    # Reduce inequalities modulo the hull, deduplicate, drop trivial ones.
+    by_normal: Dict[IntNormal, Fraction] = {}
+    for a, b in strict:
+        ra, rb = _reduce_mod_eqs(a, b, eq_rows, pivots)
+        prim = _primitive(ra, rb)
+        if prim is None:
+            continue  # valid on the hull; feasibility already checked
+        na, nb = prim
+        if na not in by_normal or nb < by_normal[na]:
+            by_normal[na] = nb
+    ineq_list = sorted(by_normal.items())
+
+    # Irredundancy by exact LP, one inequality at a time.
+    kept = list(ineq_list)
+    i = 0
+    while i < len(kept):
+        a, b = kept[i]
+        others = kept[:i] + kept[i + 1:]
+        res = lp_maximize(others, eq_rows, a, rank_)
+        if res.status == "optimal" and res.value <= b:
+            kept.pop(i)
+        else:
+            i += 1
+
+    basis = int_kernel([a for a, _ in eq_rows], rank_)
+    lattice = Lattice(rank_, basis)
+    dim = len(basis)
+
+    relint = _relint_point_reference(kept, eq_rows, rank_)
+    return (rank_, tuple(kept), tuple(eq_rows), tuple(pivots), dim,
+            lattice, relint)
+
+
+def _relint_point_reference(ineqs: Sequence[Ineq], eqs: Sequence[Ineq], rank_: int):
+    """A rational point satisfying every inequality strictly."""
+    if not ineqs:
+        res = lp_feasible([], eqs, rank_)
+        return res.point
+    # Maximize slack t subject to a.x + t <= b, t <= 1 in rank+1 variables.
+    ext_ineqs = [(tuple(a) + (1,), b) for a, b in ineqs]
+    ext_ineqs.append((tuple(0 for _ in range(rank_)) + (1,), Fraction(1)))
+    ext_eqs = [(tuple(a) + (0,), b) for a, b in eqs]
+    obj = tuple(0 for _ in range(rank_)) + (1,)
+    res = solve_lp(ext_ineqs, ext_eqs, obj, rank_ + 1)
+    if res.status != "optimal" or res.value <= 0:
+        raise InternalError("a nonempty polyhedron without implicit "
+                            "equalities has no strictly interior point")
+    return res.point[:rank_]
+
+
+
+def random_system(rng, rank):
+    """A seeded H-system in R^rank that often has implicit equalities."""
+    def scalar():
+        if rng.random() < 0.2:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return Fraction(rng.randint(-3, 3))
+
+    def row():
+        return tuple(scalar() if rng.random() < 0.3 else rng.randint(-2, 2)
+                     for _ in range(rank))
+
+    ineqs = []
+    if rng.random() < 0.6:  # a box keeps most systems bounded
+        for i in range(rank):
+            e = tuple(int(i == j) for j in range(rank))
+            ineqs.append((e, rng.randint(-1, 3)))
+            ineqs.append((tuple(-x for x in e), rng.randint(-1, 3)))
+    ineqs += [(row(), scalar()) for _ in range(rng.randint(0, rank + 2))]
+    for _ in range(rng.randint(0, 2)):
+        if not ineqs:
+            break
+        kind = rng.random()
+        a, b = rng.choice(ineqs)
+        if kind < 0.4:
+            # The opposite row, sometimes shifted: an implicit equality,
+            # or an empty system.
+            ineqs.append((tuple(-x for x in a), -b + rng.choice([0, 0, -1, 1])))
+        elif kind < 0.8:
+            # Minus the sum of some rows forces all of them tight.
+            picked = rng.sample(ineqs, rng.randint(1, min(3, len(ineqs))))
+            ineqs.append((tuple(-sum(c[j] for c, _ in picked)
+                                for j in range(rank)),
+                          -sum(d for _, d in picked)
+                          + rng.choice([0, 0, 0, -1])))
+        else:
+            # A positive multiple of a row with a smaller offset.
+            f = rng.randint(2, 3)
+            ineqs.append((tuple(f * x for x in a), f * b - rng.randint(0, 1)))
+    eqs = [(row(), scalar()) for _ in range(rng.choice([0, 0, 0, 1, 2]))]
+    rng.shuffle(ineqs)
+    return ineqs, eqs
+
+
+def same_build(rank, ineqs, eqs):
+    got = _build(rank, ineqs, eqs)
+    want = _build_reference(rank, ineqs, eqs)
+    if want is None:
+        assert got is None, (rank, ineqs, eqs)
+        return None
+    assert got is not None, (rank, ineqs, eqs)
+    for i in (0, 1, 2, 3, 4, 6):  # rank, ineqs, eqs, pivots, dim, relint
+        assert got[i] == want[i], (i, rank, ineqs, eqs)
+    assert got[5].basis == want[5].basis, (rank, ineqs, eqs)
+    return got
+
+
+def test_build_matches_reference():
+    rng = random.Random(1414)
+    systems = empty = implicit = facets = 0
+    for _ in range(1500):
+        rank = rng.randint(1, 4)
+        ineqs, eqs = random_system(rng, rank)
+        built = same_build(rank, ineqs, eqs)
+        systems += 1
+        # The same system in another row order.
+        shuffled = list(ineqs)
+        rng.shuffle(shuffled)
+        same_build(rank, shuffled, eqs[::-1])
+        systems += 1
+        if built is None:
+            empty += 1
+            continue
+        if len(built[2]) > len(_rref_eqs(eqs, rank)[0]):
+            implicit += 1
+        # Facets, and facets of a facet, as facets() builds them.
+        kept, eq_rows = built[1], built[2]
+        for a, b in rng.sample(kept, min(2, len(kept))):
+            facet = same_build(rank, kept, eq_rows + ((a, b),))
+            systems += 1
+            facets += 1
+            if facet is not None and facet[1]:
+                a2, b2 = rng.choice(facet[1])
+                same_build(rank, facet[1], facet[2] + ((a2, b2),))
+                systems += 1
+    assert systems >= 2000
+    assert empty >= 300 and implicit >= 150 and facets >= 500, \
+        (empty, implicit, facets)

@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 import tropcalc.lp
-import tropcalc.polyhedra
 from tropcalc.deltaforms import (DeltaForm, PSFunction, check_balanced,
                                  corner_locus, dP1, dP2, equal, ps_wedge)
 from tropcalc.errors import AmbientMismatch, NotBalanced, NotTransversal
@@ -72,7 +71,6 @@ class LPCounter:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(tropcalc.lp, "solve_lp", counted)
-        monkeypatch.setattr(tropcalc.polyhedra, "solve_lp", counted)
 
 
 def line_through_origin(direction, weight=1):

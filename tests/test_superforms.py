@@ -4,12 +4,16 @@ from fractions import Fraction
 import pytest
 
 from tropcalc.errors import SlotOutOfRange
-from tropcalc.linalg import mat_mul, mat_vec, add_vec
+from tropcalc.linalg import mat_mul, mat_vec
 from tropcalc.polyhedra import Polyhedron
 from tropcalc.superforms import (
     Poly, Superform, contract, contract1, contract2, d1, d2, is_symmetric,
     j_op, pullback_form, restrict_to, wedge,
 )
+
+
+def add_vec(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def random_poly(rng, rank, max_deg=2):
