@@ -1,42 +1,45 @@
 """Exact integration of polynomial superforms over bounded polyhedra.
 
 A (k,k)-superform on a k-cell is integrated by restricting to the cell's
-lattice coordinates, triangulating, and summing exact monomial moments over
-simplices (the Dirichlet formula).  The lattice normalization makes the
-value independent of the choice of basis, and the leading sign matches the
-convention that d'x_1 ^ d''x_1 ^ ... integrates to positive volume.
+lattice coordinates and summing exact monomial moments over the simplices
+of the cell's triangulation (Polyhedron.lattice_simplices, built once per
+cell in lattice coordinates).  On a simplex x = v0 + E.lam the moment of
+lam^f is f! / (k + |f|)! (the Dirichlet formula; Baldoni, Berline, De Loera,
+Koeppe, Vergne, "How to integrate a polynomial over a simplex", Math. Comp.
+80, 2011).  The moments are summed in integers: the substitution is cleared
+to integer affine forms whose powers are built once per variable
+(superforms._integer_expansions), each monomial's integer expansion is
+weighted by the integers f! (k + D)! / (k + |f|)!, D the degree, and the
+sum is divided by (k + D)! once per simplex.  The lattice normalization
+makes the value independent of the choice of basis, and the leading sign
+matches the convention that d'x_1 ^ d''x_1 ^ ... integrates to positive
+volume.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import List, Sequence, Tuple
+from typing import Dict, Sequence
 
 from .deltaforms import DeltaForm
-from .errors import DegreeMismatch, InternalError, TypeMismatch, Unbounded
-from .linalg import det, solve_linear, vec
+from .errors import DegreeMismatch, TypeMismatch, Unbounded
+from .linalg import det, vec
 from .polyhedra import Polyhedron
-from .superforms import (Poly, Superform, contract1, contract2, d1, d2,
-                         is_symmetric, restrict_to, wedge)
-
-
-def _triangulate(sigma: Polyhedron) -> List[Tuple[tuple, ...]]:
-    """Split a bounded polyhedron into simplices given by vertex tuples."""
-    if sigma.dim == 0:
-        return [(sigma.relint_point,)]
-    v0 = min(sigma.vertices())
-    out = []
-    for facet in sigma.facets():
-        if facet.contains(v0):
-            continue
-        for simplex in _triangulate(facet):
-            out.append(simplex + (v0,))
-    return out
+from .superforms import (Poly, Superform, _integer_expansions, _unpack,
+                         contract1, contract2, d1, d2, is_symmetric,
+                         restrict_to, wedge)
 
 
 def _poly_over_simplex(poly: Poly, verts: Sequence[tuple]) -> Fraction:
-    """Integral of a polynomial over the simplex with the given vertices."""
+    """Integral of a polynomial over the simplex with the given vertices.
+
+    With x = v0 + E.lam, the simplex is lam >= 0, sum lam <= 1, and
+    lam^f integrates to f! / (k + |f|)!.  Each monomial's integer expansion
+    (superforms._integer_expansions) is summed against the integer weights
+    f! (k + D)! / (k + |f|)!, D the degree of poly, so the only rational
+    work is one product per monomial and one division by (k + D)!.
+    """
     k = poly.rank
     if k == 0:
         return poly.evaluate(())
@@ -46,14 +49,23 @@ def _poly_over_simplex(poly: Poly, verts: Sequence[tuple]) -> Fraction:
     if jac == 0:
         return Fraction(0)
     rows = [tuple(edges[j][i] for j in range(k)) for i in range(k)]
-    comp = poly.compose_affine(rows, v0)
+    base, expansions = _integer_expansions(poly, rows, v0, k)
+    top = factorial(k + poly.degree())
+    weights: Dict[int, int] = {}
     total = Fraction(0)
-    for e, c in comp.terms.items():
-        num = 1
-        for a in e:
-            num *= factorial(a)
-        total += c * Fraction(num, factorial(k + sum(e)))
-    return jac * total
+    for scale, expansion in expansions:
+        moment = 0
+        for key, n in expansion.items():
+            w = weights.get(key)
+            if w is None:
+                f = _unpack(key, base, k)
+                w = top // factorial(k + sum(f))
+                for a in f:
+                    w *= factorial(a)
+                weights[key] = w
+            moment += n * w
+        total += scale * moment
+    return jac * total / top
 
 
 def integrate_cell(sigma: Polyhedron, alpha: Superform) -> Fraction:
@@ -73,20 +85,9 @@ def integrate_cell(sigma: Polyhedron, alpha: Superform) -> Fraction:
     if k == 0:
         return coeff.evaluate(())
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    origin, basis = sigma.parametrization()
-    cols = [[Fraction(basis[j][i]) for j in range(k)]
-            for i in range(len(origin))]
-
-    def param(point):
-        rhs = tuple(Fraction(x) - Fraction(o) for x, o in zip(point, origin))
-        sol = solve_linear(cols, rhs)
-        if sol is None:
-            raise InternalError("a vertex lies outside the cell's hull")
-        return sol
-
     total = Fraction(0)
-    for simplex in _triangulate(sigma):
-        total += _poly_over_simplex(coeff, [param(v) for v in simplex])
+    for simplex in sigma.lattice_simplices():
+        total += _poly_over_simplex(coeff, simplex)
     return sign * total
 
 

@@ -95,7 +95,7 @@ def _transport_coefficient(f: AffineMap, sigma: Polyhedron,
     if k == 0:
         # constant transport: evaluate nothing, compose with the point map
         zero_rows = [tuple(Fraction(0) for _ in range(rt)) for _ in range(rs)]
-        return pullback_form(zero_rows, origin, coeff)
+        return pullback_form(zero_rows, origin, coeff, source_rank=rt)
     c_cols = [mat_vec(f.matrix, b) for b in basis]  # images of the basis
     gram = [[sum(c_cols[i][m] * c_cols[j][m] for m in range(rt))
              for j in range(k)] for i in range(k)]

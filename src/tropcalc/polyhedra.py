@@ -29,7 +29,7 @@ from .errors import (AmbientMismatch, DimensionMismatch, InternalError,
                      NotAComplex, NotAFacet)
 from .linalg import (
     Lattice, dot, extend_to_unimodular, int_kernel, lattice_coordinates, rat,
-    vec,
+    solve_linear, vec,
 )
 from .lp import lp_feasible, lp_max_slack, lp_maximize
 
@@ -127,6 +127,7 @@ class Polyhedron:
         self._facets: Optional[Tuple["Polyhedron", ...]] = None
         self._facet_normals: Optional[Tuple[tuple, ...]] = None
         self._faces: Optional[Tuple["Polyhedron", ...]] = None
+        self._simplices: Optional[Tuple[Tuple[tuple, ...], ...]] = None
         self._bounded: Optional[bool] = None
 
     @staticmethod
@@ -274,6 +275,41 @@ class Polyhedron:
     def parametrization(self):
         """(origin, basis): x = origin + sum t_i basis_i maps R^dim onto the hull."""
         return self.relint_point, self._lattice.basis
+
+    def lattice_simplices(self) -> List[Tuple[tuple, ...]]:
+        """A triangulation of a bounded polyhedron in lattice coordinates.
+
+        Each simplex is a tuple of dim + 1 vertices, each given by its
+        coordinates t in the parametrization.  Built once per instance; each
+        call returns a new list.
+        """
+        if self._simplices is None:
+            origin, basis = self.parametrization()
+            cols = [[Fraction(b[i]) for b in basis]
+                    for i in range(self.ambient_rank)]
+            coords = {}
+            for v in self.vertices():
+                t = solve_linear(cols, tuple(x - o for x, o in zip(v, origin)))
+                if t is None:
+                    raise InternalError("a vertex lies outside the cell's hull")
+                coords[v] = t
+            self._simplices = tuple(tuple(coords[v] for v in simplex)
+                                    for simplex in _triangulate(self))
+        return list(self._simplices)
+
+
+def _triangulate(sigma: Polyhedron) -> List[Tuple[tuple, ...]]:
+    """Split a bounded polyhedron into simplices given by vertex tuples."""
+    if sigma.dim == 0:
+        return [(sigma.relint_point,)]
+    v0 = min(sigma.vertices())
+    out = []
+    for facet in sigma.facets():
+        if facet.contains(v0):
+            continue
+        for simplex in _triangulate(facet):
+            out.append(simplex + (v0,))
+    return out
 
 
 def _build(rank_: int, ineqs: Iterable, eqs: Iterable):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import AmbientMismatch, SlotOutOfRange
@@ -127,18 +128,15 @@ class Poly:
 
     def compose_affine(self, linear_rows: Sequence[Sequence],
                        translate: Sequence) -> "Poly":
-        """Substitute x_i = sum_j A[i][j] y_j + t_i; result lives on y-space."""
+        """Substitute x_i = sum_j A[i][j] y_j + t_i; result lives on y-space.
+
+        The y-space has len(A[0]) coordinates (0 when A has no rows).  Each
+        substitution is cleared to an integer affine form whose powers are
+        built once (see _integer_expansions); the integer products are
+        summed over one common denominator and the Poly is built once.
+        """
         k = len(linear_rows[0]) if linear_rows else 0
-        subs = [Poly.affine(k, linear_rows[i], translate[i])
-                for i in range(self.rank)]
-        out = Poly(k)
-        for e, c in self.terms.items():
-            m = Poly.const(k, c)
-            for i, power in enumerate(e):
-                for _ in range(power):
-                    m = m * subs[i]
-            out = out + m
-        return out
+        return _compose(self, linear_rows, translate, k)
 
     def __repr__(self):
         if not self.terms:
@@ -149,6 +147,86 @@ class Poly:
                             for i, k in enumerate(e) if k)
             bits.append(f"{c}{'*' + mono if mono else ''}")
         return " + ".join(bits)
+
+
+def _integer_expansions(poly: Poly, linear_rows: Sequence[Sequence],
+                        translate: Sequence, k: int):
+    """Each monomial of poly after x_i = sum_j A[i][j] y_j + t_i, in integers.
+
+    Row i is scaled by d_i, the lcm of the denominators of (A[i], t_i), to an
+    integer affine form L_i on the k y-coordinates, and the powers of L_i are
+    built once, up to the largest exponent of x_i in poly.  A monomial
+    c x^e then becomes c / prod d_i^e_i times the integer polynomial
+    prod L_i^e_i.  Returns (base, [(c / prod d_i^e_i, expansion), ...]):
+    each expansion maps packed exponents to ints, where the exponent f of
+    y is packed as sum_j f_j base^j and base exceeds the degree of poly, so
+    multiplying monomials adds packed keys (see _unpack).
+    """
+    base = poly.degree() + 1
+    top = [0] * poly.rank
+    for e in poly.terms:
+        top = [max(a, b) for a, b in zip(top, e)]
+    unit = [base ** j for j in range(k)]
+    dens, powers = [], []
+    for i in range(poly.rank):
+        row = [rat(x) for x in linear_rows[i]]
+        t = rat(translate[i])
+        d = lcm(t.denominator, *(x.denominator for x in row))
+        form = {u: x.numerator * (d // x.denominator)
+                for u, x in zip(unit, row) if x}
+        if t:
+            form[0] = t.numerator * (d // t.denominator)
+        table = [{0: 1}]
+        for _ in range(top[i]):
+            table.append(_int_mul(table[-1], form))
+        dens.append(d)
+        powers.append(table)
+    out = []
+    for e, c in poly.terms.items():
+        expansion = None
+        den = 1
+        for i, a in enumerate(e):
+            if a:
+                power = powers[i][a]
+                expansion = power if expansion is None else _int_mul(expansion, power)
+                den *= dens[i] ** a
+        out.append((c / den, {0: 1} if expansion is None else expansion))
+    return base, out
+
+
+def _int_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """Product of two integer polynomials with packed exponent keys."""
+    out: Dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
+def _unpack(key: int, base: int, k: int) -> Exponent:
+    """The exponent tuple of a packed key (see _integer_expansions)."""
+    e = []
+    for _ in range(k):
+        key, f = divmod(key, base)
+        e.append(f)
+    return tuple(e)
+
+
+def _compose(poly: Poly, linear_rows: Sequence[Sequence], translate: Sequence,
+             k: int) -> Poly:
+    """poly after x_i = sum_j A[i][j] y_j + t_i, on the k y-coordinates."""
+    base, expansions = _integer_expansions(poly, linear_rows, translate, k)
+    common = lcm(*(s.denominator for s, _ in expansions))
+    total: Dict[int, int] = {}
+    get = total.get
+    for s, expansion in expansions:
+        m = s.numerator * (common // s.denominator)
+        for key, n in expansion.items():
+            total[key] = get(key, 0) + m * n
+    return Poly(k, {_unpack(key, base, k): Fraction(n, common)
+                    for key, n in total.items() if n})
 
 
 def merge_indices(a: Tuple[int, ...], b: Tuple[int, ...]):
@@ -236,9 +314,6 @@ class Superform:
     def __hash__(self):
         return hash((self.rank, tuple(sorted(self.terms.items(),
                                              key=lambda kv: kv[0]))))
-
-    def same_as(self, other: "Superform") -> bool:
-        return self == other
 
     def __add__(self, other: "Superform") -> "Superform":
         self._check(other)
@@ -397,16 +472,22 @@ def contract2(alpha: Superform, v: Sequence) -> Superform:
 
 
 def pullback_form(linear_rows: Sequence[Sequence], translate: Sequence,
-                  alpha: Superform) -> Superform:
+                  alpha: Superform, *,
+                  source_rank: Optional[int] = None) -> Superform:
     """Pull back along y -> x = A y + t; the form lives on x-space.
 
     The linear part may be rational: internal transports along affine
-    sections use this; the public integral maps wrap it.
+    sections use this; the public integral maps wrap it.  y-space has
+    source_rank coordinates, by default the length of A's rows; a map out
+    of R^k into R^0 has no rows, so it must give source_rank.
     """
     r = alpha.rank
     if len(linear_rows) != r or len(translate) != r:
         raise AmbientMismatch("map target rank != form ambient rank")
-    k = len(linear_rows[0]) if linear_rows else 0
+    if source_rank is None:
+        k = len(linear_rows[0]) if linear_rows else 0
+    else:
+        k = source_rank
     a = [vec(row) for row in linear_rows]
     out: Dict[IndexPair, Poly] = {}
     minor_cache: Dict[tuple, Fraction] = {}
@@ -424,7 +505,7 @@ def pullback_form(linear_rows: Sequence[Sequence], translate: Sequence,
         return minor_cache[key]
 
     for (i_idx, j_idx), c in alpha.terms.items():
-        comp = c.compose_affine(a, translate)
+        comp = _compose(c, a, translate, k)
         if comp.is_zero():
             continue
         for ti in combinations(range(k), alpha.p):

@@ -1,16 +1,22 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from tropcalc.deltaforms import (DeltaForm, boundary1, boundary2, dP1, dP2,
                                  ps_wedge)
 from tropcalc.errors import DegreeMismatch, Unbounded
-from tropcalc.integration import (degree, green_check, integrate_boundary,
-                                  integrate_cell, pair_current, stokes_check)
+from tropcalc.integration import (_poly_over_simplex, degree, green_check,
+                                  integrate_boundary, integrate_cell,
+                                  pair_current, stokes_check)
+from tropcalc.linalg import det, solve_linear, vec
 from tropcalc.polyhedra import Polyhedron
-from tropcalc.superforms import (Poly, Superform, d1, d2, j_op, wedge)
+from tropcalc.superforms import (Poly, Superform, d1, d2, j_op, restrict_to,
+                                 wedge)
 
+from test_superforms import (compose_affine_reference, random_rational,
+                             random_rational_poly)
 from util import box, random_balanced, random_poly, random_superform, standard_line
 
 
@@ -233,3 +239,115 @@ def test_current_identity_detects_imbalance():
             found = True
             break
     assert found
+
+
+# The integration path before the integer moment sum, kept as the reference:
+# the triangulation and vertex parametrization of integrate_cell, and
+# _poly_over_simplex expanding the composed polynomial in Fraction monomials
+# (with compose_affine_reference in place of Poly.compose_affine).
+
+def triangulate_reference(sigma):
+    if sigma.dim == 0:
+        return [(sigma.relint_point,)]
+    v0 = min(sigma.vertices())
+    out = []
+    for facet in sigma.facets():
+        if facet.contains(v0):
+            continue
+        for simplex in triangulate_reference(facet):
+            out.append(simplex + (v0,))
+    return out
+
+
+def poly_over_simplex_reference(poly, verts):
+    k = poly.rank
+    if k == 0:
+        return poly.evaluate(())
+    v0 = vec(verts[0])
+    edges = [tuple(x - y for x, y in zip(vec(v), v0)) for v in verts[1:]]
+    jac = abs(det([[edges[j][i] for j in range(k)] for i in range(k)]))
+    if jac == 0:
+        return Fraction(0)
+    rows = [tuple(edges[j][i] for j in range(k)) for i in range(k)]
+    comp = compose_affine_reference(poly, rows, v0)
+    total = Fraction(0)
+    for e, c in comp.terms.items():
+        num = 1
+        for a in e:
+            num *= factorial(a)
+        total += c * Fraction(num, factorial(k + sum(e)))
+    return jac * total
+
+
+def integrate_cell_reference(sigma, alpha):
+    k = sigma.dim
+    restricted = restrict_to(sigma, alpha)
+    if restricted.is_zero():
+        return Fraction(0)
+    full = tuple(range(k))
+    coeff = restricted.terms[(full, full)]
+    if k == 0:
+        return coeff.evaluate(())
+    sign = -1 if (k * (k - 1) // 2) % 2 else 1
+    origin, basis = sigma.parametrization()
+    cols = [[Fraction(basis[j][i]) for j in range(k)]
+            for i in range(len(origin))]
+
+    def param(point):
+        rhs = tuple(Fraction(x) - Fraction(o) for x, o in zip(point, origin))
+        return solve_linear(cols, rhs)
+
+    total = Fraction(0)
+    for simplex in triangulate_reference(sigma):
+        total += poly_over_simplex_reference(coeff, [param(v) for v in simplex])
+    return sign * total
+
+
+def random_simplex(rng, k):
+    """k + 1 rational vertices; a third of them degenerate (jac = 0)."""
+    verts = [tuple(random_rational(rng) for _ in range(k))
+             for _ in range(k + 1)]
+    if k and rng.random() < 1 / 3:
+        # the last vertex on the affine hull of the others
+        a, b = verts[0], verts[rng.randrange(k)]
+        t = random_rational(rng)
+        verts[-1] = tuple(x + t * (y - x) for x, y in zip(a, b))
+    return verts
+
+
+def test_poly_over_simplex_matches_reference():
+    rng = random.Random(43)
+    degenerate = 0
+    for case in range(1100):
+        k = rng.randint(0, 4)
+        poly = random_rational_poly(rng, k, rng.randint(0, 8))
+        verts = random_simplex(rng, k)
+        expected = poly_over_simplex_reference(poly, verts)
+        assert _poly_over_simplex(poly, verts) == expected, case
+        degenerate += k > 0 and expected == 0 and not poly.is_zero()
+    assert degenerate > 100
+
+
+def test_integrate_cell_matches_reference_on_rational_polytopes():
+    rng = random.Random(47)
+    cells = [
+        # a pentagon and a triangle with rational vertices
+        Polyhedron(2, [((2, 1), 3), ((-1, 3), 2), ((0, -1), 0),
+                       ((-1, 0), 0), ((1, -2), 1)]),
+        Polyhedron(2, [((3, 2), 4), ((-1, 0), 0), ((0, -1), 0)]),
+        # a tetrahedron cut by a rational plane, and a square in R^3
+        Polyhedron(3, [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
+                       ((2, 3, 4), 5), ((1, 1, 0), 1)]),
+        Polyhedron(3, [((1, 0, 0), 1), ((-1, 0, 0), 0), ((0, 1, 0), 1),
+                       ((0, -1, 0), 0)], [((1, 1, 2), 1)]),
+        # a rational segment in R^2 and a point
+        Polyhedron(2, [((1, 0), 2), ((-1, 0), 0)], [((1, 3), 1)]),
+        Polyhedron.point((Fraction(1, 2), Fraction(-1, 3))),
+    ]
+    for sigma in cells:
+        k = sigma.dim
+        assert any(x.denominator != 1 for v in sigma.vertices() for x in v)
+        for _ in range(6):
+            alpha = random_superform(rng, sigma.ambient_rank, k, k, max_deg=6)
+            assert (integrate_cell(sigma, alpha)
+                    == integrate_cell_reference(sigma, alpha))

@@ -232,3 +232,15 @@ def test_pullback_matches_regularized_projection(monkeypatch):
     for f, a, got in cases:
         assert equal(got, pullback(f, a))
     assert sum(not got.is_zero() for _, _, got in cases) >= 3
+
+
+def test_push_out_of_r0_keeps_the_target_rank():
+    f = AffineMap(0, 2, [[], []], (1, 2))
+    point = pushforward_cells(f, DeltaForm.full_space(0))
+    assert point.rank == 2
+    assert equal(point, DeltaForm.from_weights(2, 2, [(Polyhedron.point((1, 2)), 1)]))
+    coeff = DeltaForm(0, (0, 0, 0), [(Polyhedron.full_space(0),
+                                      Superform.constant(0, 3))])
+    moved = pushforward_hat(f, coeff)
+    assert [(cell, c) for cell, c in moved.cells] == [
+        (Polyhedron.point((1, 2)), Superform.constant(2, 3))]

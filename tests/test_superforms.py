@@ -61,6 +61,79 @@ def test_poly_compose_affine():
                             (0,): Fraction(1)})
 
 
+def compose_affine_reference(poly, linear_rows, translate):
+    """Poly.compose_affine as it was before the integer kernel: one Poly
+    product per factor."""
+    k = len(linear_rows[0]) if linear_rows else 0
+    subs = [Poly.affine(k, linear_rows[i], translate[i])
+            for i in range(poly.rank)]
+    out = Poly(k)
+    for e, c in poly.terms.items():
+        m = Poly.const(k, c)
+        for i, power in enumerate(e):
+            for _ in range(power):
+                m = m * subs[i]
+        out = out + m
+    return out
+
+
+def random_rational(rng):
+    """0 about a quarter of the time, else a small rational."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def random_substitution(rng, rank, k):
+    """Rows and translate of x = A y + t, with zero rows and zero
+    translates mixed in."""
+    rows = []
+    for _ in range(rank):
+        if rng.random() < 0.15:
+            rows.append(tuple(Fraction(0) for _ in range(k)))
+        else:
+            rows.append(tuple(random_rational(rng) for _ in range(k)))
+    translate = tuple(random_rational(rng) for _ in range(rank))
+    if rng.random() < 0.15:
+        translate = tuple(Fraction(0) for _ in range(rank))
+    return rows, translate
+
+
+def random_rational_poly(rng, rank, max_deg):
+    """Up to four monomials of degree <= max_deg; empty about 5% of the
+    time."""
+    if rng.random() < 0.05:
+        return Poly(rank)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = [0] * rank
+        for _ in range(rng.randint(0, max_deg) if rank else 0):
+            e[rng.randrange(rank)] += 1
+        terms[tuple(e)] = random_rational(rng) or Fraction(1)
+    return Poly(rank, terms)
+
+
+def test_compose_affine_matches_reference():
+    rng = random.Random(41)
+    for case in range(1200):
+        rank = rng.randint(0, 4)
+        k = rng.randint(0, 4) if rank else 0
+        max_deg = rng.randint(0, 8)
+        poly = random_rational_poly(rng, rank, max_deg)
+        rows, translate = random_substitution(rng, rank, k)
+        assert (poly.compose_affine(rows, translate)
+                == compose_affine_reference(poly, rows, translate)), case
+
+
+def test_pullback_form_out_of_r0():
+    # R^2 -> R^0 has no rows: the source rank must be given.
+    a = Superform.constant(0, 5)
+    pb = pullback_form([], (), a, source_rank=2)
+    assert pb.rank == 2
+    assert pb.terms == {((), ()): Poly.const(2, 5)}
+    assert pullback_form([], (), a).rank == 0
+
+
 def test_wedge_reordering_sign():
     # d'x1 ^ d''x1 ^ d'x2 ^ d''x2 = - d'x1 ^ d'x2 ^ d''x1 ^ d''x2
     a = dxdy(2, (0,), (0,))
