@@ -9,7 +9,11 @@ The boundary derivatives act on balanced forms and raise the codimension:
 at a codimension-(l+1) face tau the weighted normal vectors (read from
 each cell's Polyhedron.facet_normals) are decomposed in a lattice basis of
 tau extended to Z^r, and the coefficient combines
-contractions against the normals and against the tangent basis.  The global
+contractions against the normals and against the tangent basis.  Each
+face's frame and the coordinates of its normals are derived once per call,
+in one face table that check_balanced, the boundaries and corner_locus all
+read; the result does not depend on the choice of tangent basis (the
+test-suite checks this against scaled and sheared bases).  The global
 signs used here are the unique ones for which the exact current identities
 
     <dP1 a + boundary1 a, g> = (-1)^{p+q+1} <a, d1 g>
@@ -238,55 +242,64 @@ def _codim1_faces(a: DeltaForm):
     return {k: out[k] for k in sorted(out)}
 
 
-def _frame(tau: Polyhedron, rank: int,
-           tangent_basis: Optional[Sequence[Sequence]] = None):
-    """Tangent basis of tau extended to a basis of the ambient space.
+def _frame(tau: Polyhedron, rank: int):
+    """The lattice basis of tau, and the inverse of its unimodular extension.
 
-    Returns (tangent_vectors, coordinate_matrix) where the matrix rows give
-    coordinates in the combined tangent+complement basis.
+    The rows of the inverse give coordinates in the tangent basis followed
+    by its complement.
     """
-    default = list(tau.lattice.basis)
-    full = extend_to_unimodular(tuple(default), rank)
-    cols = list(zip(*full)) if full else []
-    complement = [tuple(c) for c in cols[len(default):]]
-    tangent = ([vec(v) for v in tangent_basis]
-               if tangent_basis is not None else default)
-    if len(tangent) != len(default):
-        raise ValueError("tangent basis has wrong size")
-    columns = [list(v) for v in tangent] + [list(v) for v in complement]
-    mat = [[Fraction(columns[j][i]) for j in range(rank)]
-           for i in range(rank)]
-    return tangent, invert(mat)
+    tangent = list(tau.lattice.basis)
+    return tangent, invert(extend_to_unimodular(tuple(tangent), rank))
 
 
-def check_balanced(a: DeltaForm, tangent_bases=None):
+def _faces(a: DeltaForm):
+    """The face table: each codim-(l+1) face of a, in key order.
+
+    Yields (tau, tangent, incident) with incident a list of (sigma, coeff,
+    omega, coords), where coords are omega's coordinates in tau's frame:
+    the first len(tangent) along the tangent basis, the rest along the
+    complement.
+    """
+    for tau, incident in _codim1_faces(a).values():
+        tangent, inv = _frame(tau, a.rank)
+        yield tau, tangent, [(sigma, coeff, omega, mat_vec(inv, omega))
+                             for sigma, coeff, omega in incident]
+
+
+def _component(a: DeltaForm, incident, j: int) -> Superform:
+    """Sum of coeff * coords[j] over the incident cells."""
+    total = Superform.zero(a.rank, a.p, a.q)
+    for _, coeff, _, coords in incident:
+        if coords[j] != 0:
+            total = total + coeff.scale(coords[j])
+    return total
+
+
+def _defects(a: DeltaForm, tau: Polyhedron, tangent, incident):
+    """The nonzero complement components (j, defect form) at tau."""
+    bad = []
+    for j in range(len(tangent), a.rank):
+        defect = restrict_to(tau, _component(a, incident, j))
+        if not defect.is_zero():
+            bad.append((j, defect))
+    return bad
+
+
+def check_balanced(a: DeltaForm):
     """Whether the weighted normals at every codim-1 face stay tangent.
 
     Returns (ok, failures) with failures a list of (face, offending
     complement components), each component a (index, defect form) pair.
     """
     failures = []
-    rank = a.rank
-    for key, (tau, incident) in _codim1_faces(a).items():
-        tb = tangent_bases.get(key) if tangent_bases else None
-        tangent, inv = _frame(tau, rank, tb)
-        k = len(tangent)
-        bad = []
-        for j in range(k, rank):
-            total = Superform.zero(rank, a.p, a.q)
-            for sigma, coeff, omega in incident:
-                comp = mat_vec(inv, omega)[j]
-                if comp != 0:
-                    total = total + coeff.scale(comp)
-            defect = restrict_to(tau, total)
-            if not defect.is_zero():
-                bad.append((j, defect))
+    for tau, tangent, incident in _faces(a):
+        bad = _defects(a, tau, tangent, incident)
         if bad:
             failures.append((tau, bad))
     return (not failures, failures)
 
 
-def _boundary(a: DeltaForm, side: int, tangent_bases=None) -> DeltaForm:
+def _boundary(a: DeltaForm, side: int) -> DeltaForm:
     # boundary1 (side 1) lowers q and contracts on the d''-side; boundary2
     # (side 2) lowers p and contracts on the d'-side.
     if side == 1:
@@ -295,44 +308,31 @@ def _boundary(a: DeltaForm, side: int, tangent_bases=None) -> DeltaForm:
     else:
         deg, contract, sign = a.p, contract1, _boundary2_sign(a.p, a.q)
         out_pq = (a.p - 1, a.q)
-    new_type = out_pq + (a.l + 1,)
-    if a.is_zero():
-        clamped = tuple(max(0, x) for x in new_type[:2]) + (new_type[2],)
-        return DeltaForm.zero(a.rank, clamped)
-    ok, failures = check_balanced(a)
-    if not ok:
-        raise NotBalanced(f"{len(failures)} unbalanced faces")
-    if deg == 0:
-        clamped = tuple(max(0, x) for x in new_type[:2]) + (new_type[2],)
-        return DeltaForm.zero(a.rank, clamped)
-    rank = a.rank
-    out = []
-    for key, (tau, incident) in _codim1_faces(a).items():
-        tb = tangent_bases.get(key) if tangent_bases else None
-        tangent, inv = _frame(tau, rank, tb)
-        k = len(tangent)
-        total = Superform.zero(rank, *out_pq)
-        betas = [Superform.zero(rank, a.p, a.q) for _ in range(k)]
-        for sigma, coeff, omega in incident:
-            total = total + contract(coeff, omega)
-            coords = mat_vec(inv, omega)
-            for j in range(k):
-                if coords[j] != 0:
-                    betas[j] = betas[j] + coeff.scale(coords[j])
-        for j in range(k):
-            total = total - contract(betas[j], tangent[j])
-        out.append((tau, total.scale(sign)))
-    return DeltaForm(rank, new_type, out)
+    new_type = (max(0, out_pq[0]), max(0, out_pq[1]), a.l + 1)
+    unbalanced, out = 0, []
+    for tau, tangent, incident in _faces(a):
+        if _defects(a, tau, tangent, incident):
+            unbalanced += 1
+        elif not unbalanced and deg > 0:
+            total = Superform.zero(a.rank, *out_pq)
+            for _, coeff, omega, _ in incident:
+                total = total + contract(coeff, omega)
+            for j, t in enumerate(tangent):
+                total = total - contract(_component(a, incident, j), t)
+            out.append((tau, total.scale(sign)))
+    if unbalanced:
+        raise NotBalanced(f"{unbalanced} unbalanced faces")
+    return DeltaForm(a.rank, new_type, out)
 
 
-def boundary1(a: DeltaForm, tangent_bases=None) -> DeltaForm:
+def boundary1(a: DeltaForm) -> DeltaForm:
     """The d'-boundary derivative: type (p, q, l) -> (p, q-1, l+1)."""
-    return _boundary(a, 1, tangent_bases)
+    return _boundary(a, 1)
 
 
-def boundary2(a: DeltaForm, tangent_bases=None) -> DeltaForm:
+def boundary2(a: DeltaForm) -> DeltaForm:
     """The d''-boundary derivative: type (p, q, l) -> (p-1, q, l+1)."""
-    return _boundary(a, 2, tangent_bases)
+    return _boundary(a, 2)
 
 
 # -- piecewise smooth functions -------------------------------------------
@@ -494,28 +494,18 @@ def corner_locus(phi: PSFunction, a: DeltaForm,
     cover = list(phi.top_cells())
     pairs, tags = _refine_by_cover(a, cover, phi.pieces)
     refined = DeltaForm(a.rank, a.ptype, pairs, normalize=False)
-    rank = a.rank
     out = []
-    for key, (tau, incident) in _codim1_faces(refined).items():
-        tangent, inv = _frame(tau, rank)
-        k = len(tangent)
-        total = Superform.zero(rank, a.p, a.q)
-        betas = [Superform.zero(rank, a.p, a.q) for _ in range(k)]
-        phi_tau = None
-        for sigma, coeff, omega in incident:
+    for tau, tangent, incident in _faces(refined):
+        total = Superform.zero(a.rank, a.p, a.q)
+        for sigma, coeff, omega, _ in incident:
             piece = tags[sigma.key()]
-            if phi_tau is None:
-                phi_tau = piece
             total = total + coeff.scale_poly(piece.directional(omega))
-            coords = mat_vec(inv, omega)
-            for j in range(k):
-                if coords[j] != 0:
-                    betas[j] = betas[j] + coeff.scale(coords[j])
-        for j in range(k):
-            total = total - betas[j].scale_poly(
-                phi_tau.directional(tangent[j]))
+        phi_tau = tags[incident[0][0].key()]
+        for j, t in enumerate(tangent):
+            total = total - _component(refined, incident, j).scale_poly(
+                phi_tau.directional(t))
         out.append((tau, total))
-    return DeltaForm(rank, new_type, out)
+    return DeltaForm(a.rank, new_type, out)
 
 
 def tropical_pl_check(phi: PSFunction, a: DeltaForm) -> bool:

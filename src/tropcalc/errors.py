@@ -39,10 +39,6 @@ class NotTransversal(TropcalcError):
     """Two cells meet without spanning the ambient space."""
 
 
-class NonGenericVector(TropcalcError):
-    """A translation vector fails to put two complexes in general position."""
-
-
 class CellNotInjective(TropcalcError):
     """An affine map collapses a cell, so the cellwise push-forward is undefined."""
 

@@ -3,18 +3,136 @@ from fractions import Fraction
 
 import pytest
 
-from tropcalc.deltaforms import (DeltaForm, PSFunction, add, boundary1,
-                                 boundary2, check_balanced, corner_locus,
-                                 dP1, dP2, equal, j_delta, ps_wedge,
-                                 tropical_pl_check)
+from tropcalc.deltaforms import (DeltaForm, PSFunction, _boundary1_sign,
+                                 _boundary2_sign, _codim1_faces,
+                                 _refine_by_cover, add, boundary1, boundary2,
+                                 check_balanced, corner_locus, dP1, dP2,
+                                 equal, j_delta, ps_wedge, tropical_pl_check)
 from tropcalc.errors import NotBalanced, TypeMismatch
-from tropcalc.linalg import identity_mat
+from tropcalc.linalg import (extend_to_unimodular, identity_mat, invert,
+                             mat_vec, vec)
 from tropcalc import serialization as ser
 from tropcalc.polyhedra import Complex, Polyhedron
-from tropcalc.superforms import Poly, Superform
+from tropcalc.superforms import (Poly, Superform, contract1, contract2,
+                                 restrict_to)
 
-from util import (random_balanced, random_pl, random_ps, random_superform,
-                  standard_line)
+from util import (random_balanced, random_pl, random_poly, random_ps,
+                  random_superform, standard_line)
+
+
+# -- reference: one loop over the codim-1 faces per operation ---------------
+#
+# check_balanced, the boundaries and corner_locus as they were before they
+# shared one face table; the boundaries also accept a tangent basis per face.
+
+
+def frame_reference(tau, rank, tangent_basis=None):
+    default = list(tau.lattice.basis)
+    full = extend_to_unimodular(tuple(default), rank)
+    cols = list(zip(*full)) if full else []
+    complement = [tuple(c) for c in cols[len(default):]]
+    tangent = ([vec(v) for v in tangent_basis]
+               if tangent_basis is not None else default)
+    if len(tangent) != len(default):
+        raise ValueError("tangent basis has wrong size")
+    columns = [list(v) for v in tangent] + [list(v) for v in complement]
+    mat = [[Fraction(columns[j][i]) for j in range(rank)]
+           for i in range(rank)]
+    return tangent, invert(mat)
+
+
+def check_balanced_reference(a, tangent_bases=None):
+    failures = []
+    rank = a.rank
+    for key, (tau, incident) in _codim1_faces(a).items():
+        tb = tangent_bases.get(key) if tangent_bases else None
+        tangent, inv = frame_reference(tau, rank, tb)
+        k = len(tangent)
+        bad = []
+        for j in range(k, rank):
+            total = Superform.zero(rank, a.p, a.q)
+            for sigma, coeff, omega in incident:
+                comp = mat_vec(inv, omega)[j]
+                if comp != 0:
+                    total = total + coeff.scale(comp)
+            defect = restrict_to(tau, total)
+            if not defect.is_zero():
+                bad.append((j, defect))
+        if bad:
+            failures.append((tau, bad))
+    return (not failures, failures)
+
+
+def boundary_reference(a, side, tangent_bases=None):
+    if side == 1:
+        deg, contract, sign = a.q, contract2, _boundary1_sign(a.p, a.q)
+        out_pq = (a.p, a.q - 1)
+    else:
+        deg, contract, sign = a.p, contract1, _boundary2_sign(a.p, a.q)
+        out_pq = (a.p - 1, a.q)
+    new_type = out_pq + (a.l + 1,)
+    if a.is_zero():
+        clamped = tuple(max(0, x) for x in new_type[:2]) + (new_type[2],)
+        return DeltaForm.zero(a.rank, clamped)
+    ok, failures = check_balanced_reference(a)
+    if not ok:
+        raise NotBalanced(f"{len(failures)} unbalanced faces")
+    if deg == 0:
+        clamped = tuple(max(0, x) for x in new_type[:2]) + (new_type[2],)
+        return DeltaForm.zero(a.rank, clamped)
+    rank = a.rank
+    out = []
+    for key, (tau, incident) in _codim1_faces(a).items():
+        tb = tangent_bases.get(key) if tangent_bases else None
+        tangent, inv = frame_reference(tau, rank, tb)
+        k = len(tangent)
+        total = Superform.zero(rank, *out_pq)
+        betas = [Superform.zero(rank, a.p, a.q) for _ in range(k)]
+        for sigma, coeff, omega in incident:
+            total = total + contract(coeff, omega)
+            coords = mat_vec(inv, omega)
+            for j in range(k):
+                if coords[j] != 0:
+                    betas[j] = betas[j] + coeff.scale(coords[j])
+        for j in range(k):
+            total = total - contract(betas[j], tangent[j])
+        out.append((tau, total.scale(sign)))
+    return DeltaForm(rank, new_type, out)
+
+
+def corner_locus_reference(phi, a, assume_balanced=False):
+    new_type = (a.p, a.q, a.l + 1)
+    if a.is_zero():
+        return DeltaForm.zero(a.rank, new_type)
+    if not assume_balanced:
+        ok, failures = check_balanced_reference(a)
+        if not ok:
+            raise NotBalanced(f"{len(failures)} unbalanced faces")
+    cover = list(phi.top_cells())
+    pairs, tags = _refine_by_cover(a, cover, phi.pieces)
+    refined = DeltaForm(a.rank, a.ptype, pairs, normalize=False)
+    rank = a.rank
+    out = []
+    for key, (tau, incident) in _codim1_faces(refined).items():
+        tangent, inv = frame_reference(tau, rank)
+        k = len(tangent)
+        total = Superform.zero(rank, a.p, a.q)
+        betas = [Superform.zero(rank, a.p, a.q) for _ in range(k)]
+        phi_tau = None
+        for sigma, coeff, omega in incident:
+            piece = tags[sigma.key()]
+            if phi_tau is None:
+                phi_tau = piece
+            total = total + coeff.scale_poly(piece.directional(omega))
+            coords = mat_vec(inv, omega)
+            for j in range(k):
+                if coords[j] != 0:
+                    betas[j] = betas[j] + coeff.scale(coords[j])
+        for j in range(k):
+            total = total - betas[j].scale_poly(
+                phi_tau.directional(tangent[j]))
+        out.append((tau, total))
+    return DeltaForm(rank, new_type, out)
 
 
 def half_line():
@@ -125,23 +243,111 @@ def test_boundary_requires_balanced():
         boundary1(two_rays)
 
 
+def regions(rng, rank):
+    """The constant 1 on the regions of a random PL function."""
+    return DeltaForm(rank, (0, 0, 0),
+                     [(c, Superform.constant(rank, 1))
+                      for c in random_pl(rng, rank, nterms=5 - rank)
+                      .top_cells()])
+
+
+def nonzero_balanced(rng, rank, p, q, codim):
+    """A nonzero balanced form; at codimension 0 it is cut along the
+    regions of a PL function, so that it has codim-1 faces."""
+    while True:
+        a = random_balanced(rng, rank, p, q, codim, max_deg=1)
+        if codim == 0:
+            a = ps_wedge(regions(rng, rank), a)
+        if not a.is_zero():
+            return a
+
+
+def unbalance(rng, a):
+    """Drop one cell, or rescale its coefficient."""
+    cells = list(a.cells)
+    i = rng.randrange(len(cells))
+    if len(cells) > 1 and rng.random() < 0.5:
+        del cells[i]
+    else:
+        cells[i] = (cells[i][0], cells[i][1].scale(rng.choice([-1, 2, 3])))
+    return DeltaForm(a.rank, a.ptype, cells)
+
+
+def shape(a):
+    return a.ptype, [(c.key(), f) for c, f in a.cells]
+
+
+def outcome(fn, *args, **kwargs):
+    """The result's type and cells, or the NotBalanced message."""
+    try:
+        return shape(fn(*args, **kwargs))
+    except NotBalanced as exc:
+        return ("NotBalanced", str(exc))
+
+
+def failure_list(failures):
+    return [(tau.key(), bad) for tau, bad in failures]
+
+
+def test_face_table_matches_reference():
+    # every feasible (p, q, l) in ranks 1-3, two of every three forms
+    # damaged by unbalance; the results must be identical cell by cell
+    rng = random.Random(29)
+    types = [(rank, p, q, l) for rank in (1, 2, 3) for l in range(rank + 1)
+             for p in range(rank - l + 1) for q in range(rank - l + 1)]
+    unbalanced, raised = [], set()
+    for i in range(200):
+        rank, p, q, l = types[i % len(types)]
+        a = nonzero_balanced(rng, rank, p, q, l)
+        if i % 3:
+            a = unbalance(rng, a)
+        ok, failures = check_balanced(a)
+        ref_ok, ref_failures = check_balanced_reference(a)
+        assert ok == ref_ok
+        assert failure_list(failures) == failure_list(ref_failures)
+        if not ok:
+            unbalanced.append(a.ptype)
+        for side, fn, deg in ((1, boundary1, q), (2, boundary2, p)):
+            got = outcome(fn, a)
+            assert got == outcome(boundary_reference, a, side)
+            if got[0] == "NotBalanced":
+                raised.add(deg > 0)
+        phi = random_pl(rng, rank, nterms=5 - rank)
+        if i % 2:
+            phi = phi + PSFunction.from_poly(random_poly(rng, rank))
+        assert outcome(corner_locus, phi, a) == \
+            outcome(corner_locus_reference, phi, a)
+        if not ok:
+            assert outcome(corner_locus, phi, a, assume_balanced=True) == \
+                outcome(corner_locus_reference, phi, a, assume_balanced=True)
+    assert len(unbalanced) >= 40
+    assert any(p >= 1 and q >= 1 for p, q, _ in unbalanced)
+    assert raised == {False, True}
+
+
 def test_boundary_basis_independence():
+    # the boundary read in the lattice basis of each face equals the
+    # reference read in a scaled-and-sheared tangent basis at every face;
+    # the forms d''phi ^ a of a piecewise polynomial phi have boundaries
     rng = random.Random(5)
-    for _ in range(5):
-        a = random_balanced(rng, 2, 0, 1, 0)
-        ref = boundary1(a)
-        # scale-and-shear the tangent basis at every face
+    sheared = nonzero = 0
+    for rank, p, l in ((2, 0, 0), (2, 1, 0), (3, 0, 0), (3, 1, 0),
+                       (3, 0, 1), (3, 1, 1)):
+        dphi = dP2(random_ps(rng, rank, max_deg=2).as_deltaform())
+        a = ps_wedge(dphi, random_balanced(rng, rank, p, 0, l, max_deg=1))
         bases = {}
-        from tropcalc.deltaforms import _codim1_faces
         for key, (tau, _) in _codim1_faces(a).items():
             basis = [list(v) for v in tau.lattice.basis]
             if basis:
                 basis[0] = [3 * x for x in basis[0]]
                 if len(basis) > 1:
                     basis[1] = [x + y for x, y in zip(basis[0], basis[1])]
+                    sheared += 1
             bases[key] = basis
-        alt = boundary1(a, tangent_bases=bases)
-        assert equal(ref, alt)
+        ref = boundary1(a)
+        assert equal(ref, boundary_reference(a, 1, tangent_bases=bases))
+        nonzero += not ref.is_zero()
+    assert sheared and nonzero
 
 
 def test_corner_locus_fixtures():
