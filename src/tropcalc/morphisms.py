@@ -5,11 +5,22 @@ image of its tangent lattice as a multiplicity, and transports the
 coefficient through a rational one-sided inverse of the restricted map.
 The images of a 0-cycle, or of a form on whose affine hull the map is
 injective, already form a complex; other images can overlap and are
-regularized.  Pull-back is realized geometrically: meet R^s x a with the
-graph cycle in R^(s+t) by the fan displacement rule
-(products.diagonal_wedge) and project back to the source.  The graph cycle
-is built directly as the graph polyhedron with weight 1; the tests check it
-against the iterated corner locus of max{f_i(x'), x_i}.
+regularized.
+
+Pull-back along f(x) = Mx + t (Allermann-Rau 2010) is defined as the graph
+cycle meeting R^s x a in R^(s+t), projected to the source.  It is computed
+in R^s: that cut projects onto the preimages f^-1(sigma) of the maximal
+cells of a, whose rows are sigma's rows composed with f.  A preimage of the
+expected dimension s - l_a counts when f(R^s) meets sigma + eps*w near it,
+for a generic w on the moment curve in R^t: the fan displacement rule of
+products.diagonal_wedge with the graph's side fixed, one tangent-cone LP in
+s variables per preimage.  Its multiplicity is the pair's lattice index
+[Z^(s+t) : N_graph + Z^s x N_sigma] = [Z^t : M Z^s + N_sigma], and the
+projection is injective on the graph, so the coefficient is f^* alpha_sigma
+times that index.  The graph cycle itself is the graph polyhedron with
+weight 1; the tests check it against the iterated corner locus of
+max{f_i(x'), x_i} and keep the graph construction of the pull-back as the
+reference.
 """
 
 from __future__ import annotations
@@ -20,9 +31,12 @@ from typing import Sequence
 from .deltaforms import DeltaForm, check_balanced, equal, regularize
 from .errors import (AmbientMismatch, CellNotInjective, InternalError,
                      NotBalanced)
-from .linalg import (Lattice, identity_mat, invert, lattice_index, mat_mul,
-                     mat_vec, rank as mat_rank, vec)
+from .linalg import (Lattice, dot, identity_mat, invert, lattice_index,
+                     mat_mul, mat_vec, rank as mat_rank, vec)
 from .polyhedra import Polyhedron, eliminate_coordinates
+from .products import (_cones_meet, _displace_until_generic,
+                       _moved_tangent_rows, _sum_lattice_index,
+                       diagonal_wedge)
 from .superforms import Superform, pullback_form
 
 
@@ -35,12 +49,17 @@ class AffineMap:
                  matrix: Sequence[Sequence[int]], translate: Sequence = None):
         self.source_rank = source_rank
         self.target_rank = target_rank
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        if len(self.matrix) != target_rank or any(
-                len(row) != source_rank for row in self.matrix):
+        entries = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        if len(entries) != target_rank or any(
+                len(row) != source_rank for row in entries):
             raise ValueError("matrix shape disagrees with the ranks")
+        if any(x.denominator != 1 for row in entries for x in row):
+            raise ValueError("matrix entries must be integers")
+        self.matrix = tuple(tuple(x.numerator for x in row) for row in entries)
         self.translate = (vec(translate) if translate is not None
                           else tuple(Fraction(0) for _ in range(target_rank)))
+        if len(self.translate) != target_rank:
+            raise ValueError("translate length disagrees with the target rank")
 
     @staticmethod
     def identity(rank: int) -> "AffineMap":
@@ -194,25 +213,64 @@ def graph_cycle(f: AffineMap) -> DeltaForm:
                                   [(graph_polyhedron(f), 1)])
 
 
+def _compose_rows(f: AffineMap, rows):
+    """Rows a.y <= b (or = b) on R^t composed with f: (aM).x vs b - a.t."""
+    cols = range(f.source_rank)
+    return [(tuple(sum(ai * row[j] for ai, row in zip(a, f.matrix))
+                   for j in cols), b - dot(a, f.translate))
+            for a, b in rows]
+
+
 def pullback(f: AffineMap, a: DeltaForm) -> DeltaForm:
-    """Pull-back through the graph: intersect and project to the source."""
+    """f^* a, cell by cell from the preimages of the maximal cells of a.
+
+    The preimage f^-1(sigma) of dimension s - l_a carries
+    f^* alpha_sigma * [Z^t : M Z^s + N_sigma] when f(R^s) meets
+    sigma + eps*w near it for all small eps > 0, w generic: one LP in s
+    variables over sigma's tangent cone at the image of the preimage's
+    relative-interior point.  Preimages of smaller dimension drop out.
+    This is the graph cycle meeting R^s x a, projected to the source.  The
+    graph construction in R^(s+t) moves a by the last t coordinates of the
+    moment curve's point there, m^s times the point of the curve in R^t
+    used here; cones do not see the scale, so both decide every cell alike.
+    """
     if f.target_rank != a.rank:
         raise AmbientMismatch("map target rank disagrees with the form")
     ok, fails = check_balanced(a)
     if not ok:
         raise NotBalanced(f"{len(fails)} unbalanced faces")
-    from .products import cross, diagonal_wedge
-    graph = graph_cycle(f)
-    lifted = cross(DeltaForm.full_space(f.source_rank), a)
-    cut = diagonal_wedge(graph, lifted)
-    proj = AffineMap.projection(f.source_rank + f.target_rank, f.source_rank)
-    return pushforward_cells(proj, cut)
+    s, t = f.source_rank, f.target_rank
+    k = s - a.l
+    if a.is_zero() or k < 0:
+        return DeltaForm.zero(s, a.ptype)
+    candidates = []
+    for sigma, alpha in a.cells:
+        pre = Polyhedron.try_new(s, _compose_rows(f, sigma.ineqs),
+                                 _compose_rows(f, sigma.eqs))
+        if pre is not None and pre.dim == k:
+            candidates.append((sigma, alpha, pre, f.apply(pre.relint_point)))
+    columns = [tuple(row[j] for row in f.matrix) for j in range(s)]
+
+    def displaced(w):
+        out = []
+        for sigma, alpha, pre, image in candidates:
+            ineqs, eqs = _moved_tangent_rows(sigma, image, w)
+            meets = _cones_meet(_compose_rows(f, ineqs),
+                                _compose_rows(f, eqs), s)
+            if meets is None:
+                return None
+            if meets:
+                m = _sum_lattice_index(columns, sigma.lattice.basis, t)
+                out.append((pre, pullback_form(f.matrix, f.translate, alpha,
+                                               source_rank=s).scale(m)))
+        return out
+
+    return DeltaForm(s, a.ptype, _displace_until_generic(t, displaced))
 
 
 def projection_formula_check(f: AffineMap, a: DeltaForm,
                              b: DeltaForm) -> bool:
     """push_hat(a ^ pull(b)) versus push_hat(a) ^ b, both computed exactly."""
-    from .products import diagonal_wedge
     lhs = pushforward_hat(f, diagonal_wedge(a, pullback(f, b)))
     rhs = diagonal_wedge(pushforward_hat(f, a), b)
     return equal(lhs, rhs)

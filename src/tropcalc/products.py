@@ -7,6 +7,7 @@ contribute the wedge of their coefficients times the lattice index
 [Z^r : N_1 + N_2] on their cut.  The test for a pair is local and exact:
 one LP over the tangent cones at a relative-interior point of the cut.  The
 vectors v run along the moment curve until one is generic for every pair.
+morphisms.pullback decides its preimages by the same test and retry.
 The classical transversal formula, with the same multiplicity, serves as an
 independent cross-check on its domain of validity.
 """
@@ -112,22 +113,55 @@ def displacement_vector(r: int, m: int) -> tuple:
     return tuple(m ** i for i in range(r))
 
 
+def _displace_until_generic(r: int, attempt):
+    """attempt(v) for the first v on the moment curve in Z^r, from
+    FIRST_MOMENT on, for which it is not None.
+
+    A vector that is not generic lies on one of finitely many hyperplanes
+    through the origin, and the moment curve meets each of them for at
+    most r - 1 values of m, so the loop ends.
+    """
+    m = FIRST_MOMENT
+    while True:
+        out = attempt(displacement_vector(r, m))
+        if out is not None:
+            return out
+        m += 1
+
+
+def _moved_tangent_rows(tau: Polyhedron, p, v):
+    """The rows of tau tight at p, moved by v: they cut out the tangent
+    cone of tau at p, placed at p + v.  The point p must lie in tau."""
+    ineqs = [(a, b + dot(a, v)) for a, b in tau.ineqs if dot(a, p) == b]
+    eqs = [(a, b + dot(a, v)) for a, b in tau.eqs]
+    return ineqs, eqs
+
+
+def _cones_meet(ineqs, eqs, r: int):
+    """Decide the rows of two tangent cones, one of them moved, by one
+    max-slack LP.
+
+    True when a solution satisfies every inequality strictly, False when
+    the rows have no common solution, None when every solution makes an
+    inequality tight: then the displacement vector lies on the boundary of
+    the difference of the cones and is not generic.
+    """
+    res = lp_max_slack(ineqs, eqs, r)
+    if res.status != "optimal" or res.value < 0:
+        return False
+    return True if res.value > 0 else None
+
+
 def _meets_after_move(sigma: Polyhedron, tau: Polyhedron, p, v):
     """Whether sigma meets tau + eps*v near p for all small eps > 0.
 
     Only the tangent cones at p matter, and cones are invariant under
     scaling, so eps = 1 decides it: x in T_p sigma with x - v in T_p tau.
-    True when the relative interiors of the cones meet, False when the
-    closed cones do not meet, None when v lies on the boundary of
-    T_p sigma - T_p tau and so is not generic for this pair.
     """
+    moved_ineqs, moved_eqs = _moved_tangent_rows(tau, p, v)
     ineqs = [(a, b) for a, b in sigma.ineqs if dot(a, p) == b]
-    ineqs += [(a, b + dot(a, v)) for a, b in tau.ineqs if dot(a, p) == b]
-    eqs = list(sigma.eqs) + [(a, b + dot(a, v)) for a, b in tau.eqs]
-    res = lp_max_slack(ineqs, eqs, sigma.ambient_rank)
-    if res.status != "optimal" or res.value < 0:
-        return False
-    return True if res.value > 0 else None
+    return _cones_meet(ineqs + moved_ineqs, list(sigma.eqs) + moved_eqs,
+                       sigma.ambient_rank)
 
 
 def _expected_cuts(a: DeltaForm, b: DeltaForm, k: int):
@@ -184,12 +218,5 @@ def diagonal_wedge(a: DeltaForm, b: DeltaForm) -> DeltaForm:
     if a.is_zero() or b.is_zero() or k < 0:
         return DeltaForm.zero(r, ptype)
     candidates = _expected_cuts(a, b, k)
-    # A vector that is not generic lies on one of finitely many hyperplanes
-    # through the origin, and the moment curve meets each of them for at
-    # most r - 1 values of m, so the loop ends.
-    m = FIRST_MOMENT
-    while True:
-        pairs = _displaced_pairs(candidates, displacement_vector(r, m), r)
-        if pairs is not None:
-            return DeltaForm(r, ptype, pairs)
-        m += 1
+    return DeltaForm(r, ptype, _displace_until_generic(
+        r, lambda v: _displaced_pairs(candidates, v, r)))

@@ -327,12 +327,13 @@ def _compose_pl(phi, f):
 def test_acceptance_5_morphisms(capsys):
     t0 = time.monotonic()
     rng = random.Random(105)
-    # graph cycle equals the direct description for 20 random maps
+    # the graph cycle (the CLI graph op) equals the direct description for
+    # 20 random maps; test_morphisms.py checks it against the iterated
+    # corner locus of max{f_i(x'), x_i}, and pullback against the graph
+    # construction
     for _ in range(20):
         rs, rt = rng.randint(1, 2), rng.randint(1, 2)
         f = _random_map(rng, rs, rt)
-        # test_morphisms.py checks graph_cycle against the iterated corner
-        # locus of max{f_i(x'), x_i}
         gr = graph_cycle(f)
         assert equal(gr, DeltaForm.from_weights(
             rs + rt, rt, [(graph_polyhedron(f), 1)]))

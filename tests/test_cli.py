@@ -123,6 +123,20 @@ def test_compute_pull_identity(tmp_path):
     assert equal(ser.load_document(str(out))["result"], standard_line())
 
 
+@pytest.mark.parametrize("target_rank, translate", [(2, ["1"]),
+                                                    (1, ["1", "2"])])
+def test_map_with_a_translate_of_the_wrong_length_is_a_parse_error(
+        tmp_path, capsys, target_rank, translate):
+    doc = {"object": "affinemap", "source_rank": 2,
+           "target_rank": target_rank,
+           "matrix": [[1, 0], [0, 1]][:target_rank], "translate": translate}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"version": "1", "objects": {"f": doc}}))
+    assert main(["compute", str(path), "graph(f)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_compute_bad_expression(tmp_path, capsys):
     file = write_doc(tmp_path / "doc.json", sample_objects())
     assert main(["compute", file, "frobnicate(line)"]) == 2

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 import tropcalc.morphisms
-from tropcalc.deltaforms import DeltaForm, PSFunction, corner_locus, equal
-from tropcalc.errors import CellNotInjective, NotBalanced
+from tropcalc.deltaforms import (DeltaForm, PSFunction, check_balanced,
+                                 corner_locus, equal)
+from tropcalc.errors import AmbientMismatch, CellNotInjective, NotBalanced
 from tropcalc.integration import degree, integrate_cell
 from tropcalc.morphisms import (AffineMap, _images_form_complex, graph_cycle,
                                 graph_polyhedron, image_polyhedron,
@@ -13,7 +14,7 @@ from tropcalc.morphisms import (AffineMap, _images_form_complex, graph_cycle,
                                 pushforward_cells, pushforward_hat)
 from tropcalc.products import cross, diagonal_wedge
 from tropcalc.polyhedra import Polyhedron
-from tropcalc.superforms import Poly, Superform
+from tropcalc.superforms import Poly, Superform, restrict_to
 
 from util import random_balanced, random_cycle, random_pl, standard_line
 
@@ -25,6 +26,18 @@ def test_affine_map_basics():
     assert g.apply((4, 7)) == (Fraction(4),)
     h = g.compose(f)
     assert h.apply((1, 1)) == (Fraction(5),)
+
+
+def test_affine_map_rejects_malformed_maps():
+    for matrix in ([[Fraction(1, 2)]], [[2.7]]):
+        with pytest.raises(ValueError):
+            AffineMap(1, 1, matrix)
+    with pytest.raises(ValueError):
+        AffineMap(2, 2, [[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError):
+        AffineMap(1, 1, [[1]], [1, 2])
+    f = AffineMap(1, 1, [[Fraction(4, 2)]], [Fraction(5, 2)])
+    assert f.matrix == ((2,),) and f.translate == (Fraction(5, 2),)
 
 
 def test_image_polyhedron():
@@ -121,6 +134,124 @@ def test_graph_cycle_is_iterated_corner_locus():
         assert equal(reference_graph_cycle(f), graph)
 
 
+def pullback_reference(f, a):
+    """Pull-back through the graph: intersect and project to the source.
+
+    The graph construction of Allermann-Rau in R^(s+t), with the graph
+    built as the iterated corner locus.
+    """
+    if f.target_rank != a.rank:
+        raise AmbientMismatch("map target rank disagrees with the form")
+    ok, fails = check_balanced(a)
+    if not ok:
+        raise NotBalanced(f"{len(fails)} unbalanced faces")
+    graph = reference_graph_cycle(f)
+    lifted = cross(DeltaForm.full_space(f.source_rank), a)
+    cut = diagonal_wedge(graph, lifted)
+    proj = AffineMap.projection(f.source_rank + f.target_rank, f.source_rank)
+    return pushforward_cells(proj, cut)
+
+
+def _random_map(rng, rs, rt, rank_one=False):
+    if rank_one:
+        u = [rng.choice([-2, -1, 1, 2]) for _ in range(rt)]
+        v = [rng.randint(-1, 1) for _ in range(rs)]
+        matrix = [[x * y for y in v] for x in u]
+    else:
+        matrix = [[rng.randint(-2, 2) for _ in range(rs)] for _ in range(rt)]
+    translate = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                 for _ in range(rt)]
+    return AffineMap(rs, rt, matrix, translate)
+
+
+def _pullback_corpus(rng):
+    """(map, form) pairs: the shapes the pull-back has to get right."""
+    cases = []
+    for _ in range(3):
+        # curves in R^2 under invertible, rank-1 and non-surjective maps,
+        # and from R^3; points in R^2
+        for rs, rank_one in ((2, False), (2, False), (2, True), (1, False),
+                             (3, False)):
+            cases.append((_random_map(rng, rs, 2, rank_one),
+                          random_cycle(rng, 2, 1)))
+        cases.append((_random_map(rng, 2, 2), random_cycle(rng, 2, 2)))
+        # surfaces in R^3, and curves in R^3
+        for rs in (2, 3):
+            cases.append((_random_map(rng, rs, 3), random_cycle(rng, 3, 1)))
+        for rs in (1, 2, 3):
+            cases.append((_random_map(rng, rs, 3), random_cycle(rng, 3, 2)))
+        # polynomial superform coefficients
+        for rs in (2, 3):
+            for p, q in ((1, 0), (0, 1), (1, 1)):
+                cases.append((_random_map(rng, rs, 2),
+                              random_balanced(rng, 2, p, q, 1)))
+        cases.append((_random_map(rng, 3, 2),
+                      random_balanced(rng, 2, 1, 1, 0)))
+        cases.append((_random_map(rng, 3, 3),
+                      random_balanced(rng, 3, 1, 0, 2)))
+    # constant maps, rank-1 maps along a ray of the line, constant maps
+    # onto its vertex and onto a ray
+    cases.append((AffineMap(2, 2, [[0, 0], [0, 0]], [Fraction(1, 2), 1]),
+                  random_cycle(rng, 2, 1)))
+    for matrix, translate in (([[1], [1]], [0, 0]), ([[-1], [0]], [0, 0]),
+                              ([[0], [2]], [0, 0]), ([[1], [1]], [3, 3]),
+                              ([[0], [0]], [0, 0]), ([[0], [0]], [-2, 0])):
+        cases.append((AffineMap(1, 2, matrix, translate), standard_line()))
+    # codimension-0 forms cut into the regions of max{x, y, 0}, under
+    # rank-1 maps whose image line meets a region in one point, runs along
+    # a ray, or is generic
+    phi = PSFunction.from_minmax(2, "max", [(1, 0, 0), (0, 1, 0), (0, 0, 0)])
+    regions = DeltaForm.from_weights(2, 0, [(c, 2) for c in phi.top_cells()])
+    for matrix in ([[1, 1], [-1, -1]], [[-1, 1], [1, -1]], [[1, 1], [1, 1]],
+                   [[1, 2], [0, 0]], [[2, 1], [1, 1]]):
+        cases.append((AffineMap(2, 2, matrix), regions))
+    # maps into and out of R^0
+    cases.append((AffineMap(2, 0, [], []), DeltaForm.full_space(0, 3)))
+    cases.append((AffineMap(2, 0, [], []), DeltaForm(
+        0, (0, 0, 0), [(Polyhedron.full_space(0),
+                        Superform.constant(0, Fraction(5, 2)))])))
+    cases.append((AffineMap(0, 2, [[], []], [Fraction(1, 3), -1]),
+                  DeltaForm.full_space(2, 2)))
+    cases.append((AffineMap(0, 2, [[], []], [0, 0]), standard_line()))
+    cases.append((AffineMap(0, 0, [], []), DeltaForm.full_space(0)))
+    return cases
+
+
+def test_pullback_matches_graph_reference():
+    rng = random.Random(1701)
+    cases = _pullback_corpus(rng)
+    nonzero = 0
+    for f, a in cases:
+        got, want = pullback(f, a), pullback_reference(f, a)
+        assert (got.rank, got.ptype) == (want.rank, want.ptype)
+        assert [c.key() for c, _ in got.cells] == \
+            [c.key() for c, _ in want.cells]
+        assert [c.relint_point for c, _ in got.cells] == \
+            [c.relint_point for c, _ in want.cells]
+        # the same coefficient on each cell; the raw forms may differ off
+        # the cell's affine hull, where the reference's section is not f
+        assert [restrict_to(c, x) for c, x in got.cells] == \
+            [restrict_to(c, x) for c, x in want.cells]
+        nonzero += not got.is_zero()
+    assert nonzero >= len(cases) - 15
+    # bad inputs raise the same errors
+    bad = [(AffineMap.identity(2), random_cycle(rng, 3, 1)),
+           (AffineMap(2, 3, [[1, 0], [0, 1], [1, 1]]), standard_line())]
+    for rank, l in ((2, 1), (3, 1), (3, 2)):
+        while True:
+            a = random_cycle(rng, rank, l)
+            damaged = DeltaForm(rank, a.ptype, a.cells[1:])
+            if not check_balanced(damaged)[0]:
+                break
+        bad.append((_random_map(rng, 2, rank), damaged))
+    for f, a in bad:
+        with pytest.raises((NotBalanced, AmbientMismatch)) as want:
+            pullback_reference(f, a)
+        with pytest.raises(want.type) as got:
+            pullback(f, a)
+        assert str(got.value) == str(want.value)
+
+
 def test_pullback_identity_and_projection():
     f = AffineMap.identity(2)
     line = standard_line()
@@ -191,7 +322,7 @@ def test_push_skips_regularize_only_when_images_form_a_complex(monkeypatch):
         cases.append((True, pushforward_cells, f,
                       random_balanced(rng, 2, 1, 0, 1)))
     for _ in range(4):
-        # the projection of a graph intersection, as in pullback
+        # the projection of a graph intersection, as in pullback_reference
         f = AffineMap(2, 2, [[rng.randint(-2, 2) for _ in range(2)]
                              for _ in range(2)])
         lifted = cross(DeltaForm.full_space(2), random_cycle(rng, 2, 1))
@@ -220,6 +351,7 @@ def test_push_skips_regularize_only_when_images_form_a_complex(monkeypatch):
 
 
 def test_pullback_matches_regularized_projection(monkeypatch):
+    # the reference projects the graph intersection without regularizing
     rng = random.Random(1203)
     cases = []
     for _ in range(4):
@@ -230,7 +362,7 @@ def test_pullback_matches_regularized_projection(monkeypatch):
     monkeypatch.setattr(tropcalc.morphisms, "_images_form_complex",
                         lambda f, a: False)
     for f, a, got in cases:
-        assert equal(got, pullback(f, a))
+        assert equal(got, pullback_reference(f, a))
     assert sum(not got.is_zero() for _, _, got in cases) >= 3
 
 
